@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field, FieldElem, field_make
-from .polys import UniPoly, embed_unipoly, is_permutation
+from .polys import UniPoly, is_permutation
 
 DDT_CAP = 1 << 20
 FULL_DDT_CAP = 1 << 10
@@ -37,7 +37,7 @@ class DiffReport:
 
 def value_table(f: UniPoly, field: Field) -> list[int]:
     """f evaluated at every field element, indexed by element bits."""
-    g = embed_unipoly(f, field)
+    g = f.embed(field)
     items = sorted(g.terms.items())
     mul = field.mul
     pow_ = field.pow_
@@ -131,14 +131,14 @@ def invariance_check(f: UniPoly, transform: str, arg: UniPoly, field: Field) -> 
         if not arg.is_qaffine():
             raise ValueError(f"{arg!r} is not q-affine")
         base = differential_uniformity(f, field)
-        g = embed_unipoly(f, field) + embed_unipoly(arg, field)
+        g = f.embed(field) + arg.embed(field)
         return differential_uniformity(g, field).delta == base.delta
     if transform in ("pre_compose", "post_compose"):
         if not is_permutation(arg, field):
             raise ValueError(f"{arg!r} is not a permutation of {field}")
         base = differential_uniformity(f, field)
-        fe = embed_unipoly(f, field)
-        le = embed_unipoly(arg, field)
+        fe = f.embed(field)
+        le = arg.embed(field)
         g = fe.compose(le) if transform == "pre_compose" else le.compose(fe)
         return differential_uniformity(g, field).is_apn == base.is_apn
     raise ValueError(f"unknown transform {transform!r}")

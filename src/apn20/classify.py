@@ -7,8 +7,8 @@ infinitely many extensions, and both are CCZ-equivalent to x^5:
             L(x) = x (x+c)(x+c^q)(x+c^{q^2}) for a trace-zero c in the
             cubic extension; for a = 0 this is x^5 composed with the
             linearized permutation L.
-  family B: f = x^20 + a10 x^10 + a5 x^5 + (q-affine tail), which is
-            L(x^5) for L = x^4 + a10 x^2 + a5 x.
+  family B: f = a20 x^20 + a10 x^10 + a5 x^5 + (q-affine tail), which
+            is L(x^5) for L = a20 x^4 + a10 x^2 + a5 x.
 
 The divisibility side: family A means the plane product perturbed by a
 symmetric quadratic divides the surface polynomial (together with its two
@@ -28,7 +28,6 @@ from .polys import (
     NotDivisible,
     TriPoly,
     UniPoly,
-    embed_unipoly,
     exact_div,
     is_permutation,
 )
@@ -219,7 +218,7 @@ def check_family_a_divisor(f: UniPoly, qp: QuadraticPerturbation) -> FamilyARepo
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
     tw = qp.tower
-    phi = surface_poly(embed_unipoly(f, tw.base))
+    phi = surface_poly(f.embed(tw.base))
     prod = _conjugate_product_base(qp)
     q = exact_div(phi, prod)
     constraints = _constraints_for(qp)
@@ -241,11 +240,12 @@ def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
     """Does the quintic surface polynomial divide the surface polynomial of f?
 
     On success the quotient is compared with its closed form
-    A^3 S5^3 + a10 A S5 + a5 read off from the coefficients of f.
+    a20 A^3 S5^3 + a10 A S5 + a5 read off from the coefficients of f.
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
     K = f.field
+    a20 = f.coeff(20)
     a10 = f.coeff_elem(10)
     a5 = f.coeff_elem(5)
     phi = surface_poly(f)
@@ -255,7 +255,7 @@ def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
         return FamilyBReport(False, False, None, a10, a5)
     A = plane_product(K)
     expected = (
-        (A ** 3) * (s5 ** 3)
+        ((A ** 3) * (s5 ** 3)).scale(a20)
         + (A * s5).scale(a10.bits)
         + TriPoly.constant(K, a5.bits)
     )
@@ -272,7 +272,7 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
         raise CapExceeded(f"{tower.ext} is above the search cap 2^12")
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
-    phi = surface_poly(embed_unipoly(f, tower.base))
+    phi = surface_poly(f.embed(tower.base))
     hits = []
     for c1_bits in range(tower.ext.order):
         qp = QuadraticPerturbation.canonical(tower, c1_bits)
@@ -389,12 +389,14 @@ class CczWitness:
     with linearized L and q-affine residual; reconstruction is re-verified
     exactly, and the differential uniformity of f is compared with that of
     x^5 on a check field where L is a permutation (when one is available
-    below the cap).
+    below the cap).  A gold_compose witness records the perturbation
+    parameter c1 its L was built from.
     """
 
     kind: str
     L: UniPoly
     residual: UniPoly
+    c1: FieldElem | None = None
     check_field: Field | None = None
     delta_f: int | None = None
     delta_gold: int | None = None
@@ -443,8 +445,8 @@ def _attach_delta_check(witness: CczWitness, f: UniPoly, check_field: Field | No
 def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None):
     """Produce an equivalence witness to x^5, or NoWitness with the failing stage.
 
-    Family B is matched first from the x^10 and x^5 coefficients; family A
-    is then searched through the perturbation divisors of the tower.
+    Family B is matched first from the x^20, x^10 and x^5 coefficients;
+    family A is then searched through the perturbation divisors of the tower.
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
@@ -453,7 +455,7 @@ def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None)
         raise ValueError(f"tower base {tower.base} does not match {K}")
 
     # family B: f = L(x^5) + q-affine
-    L = UniPoly(K, {4: 1, 2: f.coeff(10), 1: f.coeff(5)})
+    L = UniPoly(K, {4: f.coeff(20), 2: f.coeff(10), 1: f.coeff(5)})
     core = L.compose(UniPoly(K, {5: 1}))
     residual = f + core
     if residual.is_qaffine():
@@ -473,7 +475,7 @@ def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None)
         if residual.is_qaffine():
             if core + residual != f:
                 raise AssertionError("witness reconstruction failed")
-            w = CczWitness("gold_compose", L, residual)
+            w = CczWitness("gold_compose", L, residual, c1)
             return _attach_delta_check(w, f, check_field)
     return NoWitness(
         "family_a_reconstruction",

@@ -527,8 +527,10 @@ def find_embedding(base: Field, ext: Field) -> Embedding:
 class TowerField:
     """GF(2^n) inside GF(2^{3n}) with the q-power Frobenius as generator.
 
-    frobenius() generates the degree-3 Galois group; trace and norm are the
-    usual orbit sum and product and always land in the embedded base field.
+    Elements are raw bits of the extension.  frob_bits generates the
+    degree-3 Galois group; trace and norm are the usual orbit sum and
+    product and always land in the embedded base field; q1, q4, q5 and q6
+    are the conjugate symmetric forms.
     """
 
     __slots__ = ("base", "ext", "embedding")
@@ -556,8 +558,6 @@ class TowerField:
 
     def __hash__(self):
         return hash((self.base, self.ext))
-
-    # -- int-level paths -------------------------------------------------------
 
     def embed_bits(self, bits: int) -> int:
         return self.embedding.map_bits(bits)
@@ -621,48 +621,3 @@ class TowerField:
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             out ^= mul(co[i], mul(bo[j], do[k]))
         return out
-
-    # -- element-level API -------------------------------------------------------
-
-    def _ext_elem(self, a) -> int:
-        if isinstance(a, FieldElem):
-            if a.field != self.ext:
-                raise ValueError(f"element of {a.field} is not in {self.ext}")
-            return a.bits
-        return FieldElem(a, self.ext).bits
-
-    def embed(self, a) -> FieldElem:
-        bits = a.bits if isinstance(a, FieldElem) else a
-        return FieldElem(self.embed_bits(bits), self.ext)
-
-    def frobenius(self, a) -> FieldElem:
-        return FieldElem(self.frob_bits(self._ext_elem(a)), self.ext)
-
-    def trace_norm(self, a) -> tuple[FieldElem, FieldElem]:
-        b = self._ext_elem(a)
-        return FieldElem(self.trace_bits(b), self.ext), FieldElem(self.norm_bits(b), self.ext)
-
-    def q1(self, c) -> FieldElem:
-        return FieldElem(self.q1_bits(self._ext_elem(c)), self.ext)
-
-    def q4(self, a, b) -> FieldElem:
-        return FieldElem(self.q4_bits(self._ext_elem(a), self._ext_elem(b)), self.ext)
-
-    def q5(self, a, b) -> FieldElem:
-        return FieldElem(self.q5_bits(self._ext_elem(a), self._ext_elem(b)), self.ext)
-
-    def q6(self, c, b, d) -> FieldElem:
-        return FieldElem(
-            self.q6_bits(self._ext_elem(c), self._ext_elem(b), self._ext_elem(d)),
-            self.ext,
-        )
-
-
-def q_form(kind: str, args, tower: TowerField) -> FieldElem:
-    """Dispatch the conjugate symmetric forms q1, q4, q5, q6 by name."""
-    arity = {"q1": 1, "q4": 2, "q5": 2, "q6": 3}
-    if kind not in arity:
-        raise ValueError(f"unknown form {kind!r}")
-    if len(args) != arity[kind]:
-        raise ValueError(f"{kind} takes {arity[kind]} argument(s), got {len(args)}")
-    return getattr(tower, kind)(*args)

@@ -1,8 +1,9 @@
 """Sparse exact polynomials over binary fields.
 
-UniPoly is univariate, TriPoly is trivariate in x, y, z.  Terms are dicts
-from exponent (or exponent triple) to a nonzero coefficient bitvector; the
-owning Field travels with the polynomial.  Division of trivariate
+One kernel, SparsePoly, holds terms as a dict from monomial to a nonzero
+coefficient bitvector, with the owning Field alongside; UniPoly (exponent
+ints) and TriPoly (exponent triples in x, y, z) differ only in monomial type
+and printing.  Division of trivariate
 polynomials is multivariate reduction under graded lex order x > y > z and
 is exact-or-fails: a NotDivisible result carries the leading monomial of
 the offending remainder.
@@ -26,22 +27,29 @@ def _check_same_field(a, b):
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
 
 
-class UniPoly:
-    """Univariate polynomial with coefficients in a binary field."""
+class SparsePoly:
+    """The sparse kernel: a dict from monomial to nonzero coefficient bits.
+
+    Addition, scaling, powering, coefficient maps and embeddings are shared;
+    a subclass fixes the monomial type through _ONE (the monomial of the
+    constant 1), __mul__, _sqr and its leading monomial, and its printing.
+    """
 
     __slots__ = ("field", "terms")
+
+    _ONE = None
 
     def __init__(self, field: Field, terms=None):
         self.field = field
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
+            for m, c in items:
                 c = _bits(c)
                 if c:
-                    clean[e] = clean.get(e, 0) ^ c
-                    if not clean[e]:
-                        del clean[e]
+                    clean[m] = clean.get(m, 0) ^ c
+                    if not clean[m]:
+                        del clean[m]
         self.terms = clean
 
     @classmethod
@@ -49,12 +57,76 @@ class UniPoly:
         return cls(field)
 
     @classmethod
-    def monomial(cls, field, e, c=1):
-        return cls(field, {e: _bits(c)})
+    def constant(cls, field, c):
+        return cls(field, {cls._ONE: _bits(c)})
 
     @classmethod
-    def x(cls, field):
-        return cls(field, {1: 1})
+    def monomial(cls, field, m, c=1):
+        return cls(field, {m: _bits(c)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.field, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        _check_same_field(self, other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            v = out.get(m, 0) ^ c
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+        return type(self)(self.field, out)
+
+    __sub__ = __add__
+
+    def scale(self, c):
+        c = _bits(c)
+        mul = self.field.mul
+        return type(self)(self.field, {m: mul(c, v) for m, v in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self.constant(self.field, 1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base._sqr()
+        return result
+
+    def map_coeffs(self, fn, field: Field):
+        return type(self)(field, {m: fn(c) for m, c in self.terms.items()})
+
+    def embed(self, target: Field):
+        """Carry the polynomial into target through the canonical subfield
+        embedding; from GF(2) that is a copy of the terms."""
+        if self.field == target:
+            return self
+        if self.field.n == 1:
+            return type(self)(target, self.terms)
+        return self.map_coeffs(find_embedding(self.field, target).map_bits, target)
+
+
+class UniPoly(SparsePoly):
+    """Univariate polynomial with coefficients in a binary field."""
+
+    __slots__ = ()
+
+    _ONE = 0
 
     @property
     def degree(self) -> int:
@@ -66,32 +138,6 @@ class UniPoly:
 
     def coeff_elem(self, e: int) -> FieldElem:
         return FieldElem(self.terms.get(e, 0), self.field)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        _check_same_field(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) ^ c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return UniPoly(self.field, out)
-
-    __sub__ = __add__
 
     def __mul__(self, other):
         _check_same_field(self, other)
@@ -107,29 +153,15 @@ class UniPoly:
                     del out[e]
         return UniPoly(self.field, out)
 
-    def scale(self, c) -> "UniPoly":
-        c = _bits(c)
-        mul = self.field.mul
-        return UniPoly(self.field, {e: mul(c, v) for e, v in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly(self.field, {0: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    def _sqr(self) -> "UniPoly":
+        sqr = self.field.sqr
+        return UniPoly(self.field, {2 * e: sqr(c) for e, c in self.terms.items()})
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         """self(other(x))."""
         _check_same_field(self, other)
         out = UniPoly.zero(self.field)
-        cur = UniPoly(self.field, {0: 1})
+        cur = UniPoly.constant(self.field, 1)
         cur_e = 0
         for e in sorted(self.terms):
             while cur_e < e:
@@ -167,32 +199,15 @@ class UniPoly:
             {e: c for e, c in self.terms.items() if e != 0 and (e & (e - 1)) != 0},
         )
 
-    def map_coeffs(self, fn, field: Field) -> "UniPoly":
-        return UniPoly(field, {e: fn(c) for e, c in self.terms.items()})
-
     def __repr__(self):
         return format_unipoly(self)
-
-
-def is_qaffine(f: UniPoly) -> bool:
-    return f.is_qaffine()
-
-
-def embed_unipoly(f: UniPoly, target: Field) -> UniPoly:
-    """Carry f into target through the canonical subfield embedding."""
-    if f.field == target:
-        return f
-    if f.field.n == 1:
-        return UniPoly(target, dict(f.terms))
-    emb = find_embedding(f.field, target)
-    return f.map_coeffs(emb.map_bits, target)
 
 
 def is_permutation(f: UniPoly, field: Field) -> bool:
     """Exhaustively decide whether x -> f(x) permutes the field."""
     if field.order > PERMUTATION_CAP:
         raise ValueError(f"{field} is above the exhaustive permutation cap 2^24")
-    g = embed_unipoly(f, field)
+    g = f.embed(field)
     seen = bytearray(field.order)
     for x in range(field.order):
         v = g.eval_bits(x)
@@ -210,31 +225,12 @@ def _grlex(key):
     return (i + j + k, i, j)
 
 
-class TriPoly:
+class TriPoly(SparsePoly):
     """Trivariate polynomial in x, y, z with coefficients in a binary field."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
-    def __init__(self, field: Field, terms=None):
-        self.field = field
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for m, c in items:
-                c = _bits(c)
-                if c:
-                    clean[m] = clean.get(m, 0) ^ c
-                    if not clean[m]:
-                        del clean[m]
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, {(0, 0, 0): _bits(c)})
+    _ONE = (0, 0, 0)
 
     @classmethod
     def variable(cls, field, name: str):
@@ -244,29 +240,6 @@ class TriPoly:
     @property
     def total_degree(self) -> int:
         return max(i + j + k for i, j, k in self.terms) if self.terms else -1
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        _check_same_field(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) ^ c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return TriPoly(self.field, out)
-
-    __sub__ = __add__
 
     def __mul__(self, other):
         _check_same_field(self, other)
@@ -280,32 +253,14 @@ class TriPoly:
                     out[m] = v
                 else:
                     del out[m]
-        return TriPoly(self.field, out)
-
-    def scale(self, c) -> "TriPoly":
-        c = _bits(c)
-        mul = self.field.mul
-        return TriPoly(self.field, {m: mul(c, v) for m, v in self.terms.items()})
+        return type(self)(self.field, out)
 
     def _sqr(self) -> "TriPoly":
         sqr = self.field.sqr
-        return TriPoly(
+        return type(self)(
             self.field,
             {(2 * i, 2 * j, 2 * k): sqr(c) for (i, j, k), c in self.terms.items()},
         )
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = TriPoly.constant(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base._sqr()
-        return result
 
     def leading_monomial(self):
         return max(self.terms, key=_grlex) if self.terms else None
@@ -316,20 +271,8 @@ class TriPoly:
             {m: c for m, c in self.terms.items() if m[0] + m[1] + m[2] == d},
         )
 
-    def map_coeffs(self, fn, field: Field) -> "TriPoly":
-        return TriPoly(field, {m: fn(c) for m, c in self.terms.items()})
-
     def __repr__(self):
         return format_tripoly(self)
-
-
-def embed_tripoly(p: TriPoly, target: Field) -> TriPoly:
-    if p.field == target:
-        return p
-    if p.field.n == 1:
-        return TriPoly(target, dict(p.terms))
-    emb = find_embedding(p.field, target)
-    return p.map_coeffs(emb.map_bits, target)
 
 
 class NotDivisible:
@@ -451,33 +394,23 @@ def parse_tripoly(text: str, field: Field) -> TriPoly:
     return TriPoly(field, terms)
 
 
-def _format_factor(var: str, e: int) -> str:
-    return var if e == 1 else f"{var}^{e}"
+def _format(p: SparsePoly, names, key=None) -> str:
+    if not p.terms:
+        return "0x0"
+    parts = []
+    for m in sorted(p.terms, key=key, reverse=True):
+        exps = m if isinstance(m, tuple) else (m,)
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
+        c = p.terms[m]
+        if c != 1 or not factors:
+            factors.insert(0, f"0x{c:x}")
+        parts.append("*".join(factors))
+    return "+".join(parts)
 
 
 def format_unipoly(p: UniPoly) -> str:
-    if not p.terms:
-        return "0x0"
-    parts = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
-        factors = [] if e == 0 else [_format_factor("x", e)]
-        if c != 1 or not factors:
-            factors.insert(0, f"0x{c:x}")
-        parts.append("*".join(factors))
-    return "+".join(parts)
+    return _format(p, "x")
 
 
 def format_tripoly(p: TriPoly) -> str:
-    if not p.terms:
-        return "0x0"
-    parts = []
-    for m in sorted(p.terms, key=_grlex, reverse=True):
-        c = p.terms[m]
-        factors = [
-            _format_factor(v, e) for v, e in zip("xyz", m) if e
-        ]
-        if c != 1 or not factors:
-            factors.insert(0, f"0x{c:x}")
-        parts.append("*".join(factors))
-    return "+".join(parts)
+    return _format(p, "xyz", _grlex)

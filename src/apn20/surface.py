@@ -13,127 +13,53 @@ named divisibility and factorization identities by exact arithmetic.
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass
 
 from .fields import Field, field_make, _find_one_root
-from .polys import NotDivisible, TriPoly, UniPoly, embed_tripoly, exact_div, _grlex
+from .polys import NotDivisible, TriPoly, UniPoly, exact_div, _format, _grlex
 
-# -- field-independent monomial patterns ----------------------------------------
+# -- field-independent building blocks ------------------------------------------
 #
-# (x+y+z)^e over GF(2) keeps exactly the monomials x^i y^j z^k whose
-# exponents add to e without binary carries.  Powers and products of
-# e1, e2, e3 likewise have all coefficients 0 or 1, so every pattern is
-# cached once as a monomial tuple and instantiated with coefficient 1 in
-# whatever field asks.
+# The four-point sums, the plane product, S_d and every e1^a e2^b e3^c have
+# coefficients in GF(2).  Each is computed once over GF(2) and lifted into
+# whatever field asks by embed, which copies the terms.
 
-_S1_PATTERN: dict[int, tuple] = {}
-_S_MONOMIAL_PATTERN: dict[tuple, tuple] = {}
-
-
-def _sym_power_pattern(e: int) -> tuple:
-    cached = _S1_PATTERN.get(e)
-    if cached is not None:
-        return cached
-    monos = []
-    for i in _submasks(e):
-        rest = e ^ i
-        for j in _submasks(rest):
-            monos.append((i, j, rest ^ j))
-    pattern = tuple(monos)
-    _S1_PATTERN[e] = pattern
-    return pattern
+_GF2 = field_make(1)
+_E1 = TriPoly(_GF2, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+_E2 = TriPoly(_GF2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+_PLANE = TriPoly(
+    _GF2, {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): 1}
+)
 
 
-def _submasks(m: int):
-    s = m
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
+@functools.cache
+def _four_point(e: int) -> TriPoly:
+    """x^e + y^e + z^e + (x+y+z)^e over GF(2)."""
+    return TriPoly(_GF2, [((e, 0, 0), 1), ((0, e, 0), 1), ((0, 0, e), 1)]) + _E1 ** e
 
 
-def _pat_mul(p, q):
-    out = {}
-    for i1, j1, k1 in p:
-        for i2, j2, k2 in q:
-            m = (i1 + i2, j1 + j2, k1 + k2)
-            if m in out:
-                del out[m]
-            else:
-                out[m] = None
-    return tuple(out)
-
-
-def _pat_pow(p, k):
-    result = ((0, 0, 0),)
-    while k:
-        if k & 1:
-            result = _pat_mul(result, p)
-        k >>= 1
-        if k:
-            p = tuple((2 * i, 2 * j, 2 * k_) for i, j, k_ in p)
-    return result
-
-
-def _s_monomial_pattern(exps: tuple) -> tuple:
-    """Monomials of e1^a * e2^b * e3^c over GF(2)."""
-    cached = _S_MONOMIAL_PATTERN.get(exps)
-    if cached is not None:
-        return cached
+@functools.cache
+def _e_monomial(exps: tuple) -> TriPoly:
+    """e1^a * e2^b * e3^c over GF(2)."""
     a, b, c = exps
-    pat = _pat_pow(((1, 0, 0), (0, 1, 0), (0, 0, 1)), a)
-    if b:
-        pat = _pat_mul(pat, _pat_pow(((1, 1, 0), (1, 0, 1), (0, 1, 1)), b))
-    if c:
-        pat = _pat_mul(pat, ((c, c, c),))
-    _S_MONOMIAL_PATTERN[exps] = pat
-    return pat
+    return _E1 ** a * _E2 ** b * TriPoly.monomial(_GF2, (c, c, c))
 
 
 # -- the quotient construction ----------------------------------------------------
 
-_PLANE_CACHE: dict[tuple, TriPoly] = {}
-_MONOMIAL_CACHE: dict[tuple, TriPoly] = {}
-
 
 def plane_product(field: Field) -> TriPoly:
     """(x+y)(x+z)(y+z), the product of the three diagonal planes."""
-    key = (field.n, field.modulus)
-    cached = _PLANE_CACHE.get(key)
-    if cached is None:
-        cached = TriPoly(
-            field,
-            {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): 1},
-        )
-        _PLANE_CACHE[key] = cached
-    return cached
+    return _PLANE.embed(field)
 
 
 def surface_numerator(f: UniPoly) -> TriPoly:
     """f(x) + f(y) + f(z) + f(x+y+z) as a trivariate polynomial."""
-    out: dict = {}
+    out = TriPoly.zero(f.field)
     for e, c in f.terms.items():
-        for m in ((e, 0, 0), (0, e, 0), (0, 0, e)):
-            if m in out:
-                v = out[m] ^ c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        for m in _sym_power_pattern(e):
-            if m in out:
-                v = out[m] ^ c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-    return TriPoly(f.field, out)
+        out = out + _four_point(e).embed(f.field).scale(c)
+    return out
 
 
 def surface_poly(f: UniPoly) -> TriPoly:
@@ -147,16 +73,16 @@ def surface_poly(f: UniPoly) -> TriPoly:
     return q
 
 
+@functools.cache
+def _gf2_surface_monomial(d: int) -> TriPoly:
+    return surface_poly(UniPoly.monomial(_GF2, d))
+
+
 def surface_monomial(d: int, field: Field) -> TriPoly:
-    """The surface polynomial of x^d; memoized per field."""
+    """The surface polynomial of x^d, computed once over GF(2) and lifted."""
     if d < 0:
         raise ValueError("negative exponent")
-    key = (d, field.n, field.modulus)
-    cached = _MONOMIAL_CACHE.get(key)
-    if cached is None:
-        cached = surface_poly(UniPoly.monomial(field, d))
-        _MONOMIAL_CACHE[key] = cached
-    return cached
+    return _gf2_surface_monomial(d).embed(field)
 
 
 # -- symmetric basis ----------------------------------------------------------------
@@ -177,136 +103,51 @@ class NotSymmetric:
         return False
 
 
-class SymPoly:
-    """Polynomial in the elementary symmetric functions e1, e2, e3."""
+class SymPoly(TriPoly):
+    """Polynomial in the elementary symmetric functions e1, e2, e3; the
+    monomial (a, b, c) stands for e1^a e2^b e3^c."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms=None):
-        self.field = field
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for m, c in items:
-                if c:
-                    clean[m] = clean.get(m, 0) ^ c
-                    if not clean[m]:
-                        del clean[m]
-        self.terms = clean
-
-    @classmethod
-    def monomial(cls, field, a, b, c, coeff=1):
-        return cls(field, {(a, b, c): coeff})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) ^ c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return SymPoly(self.field, out)
-
-    def __mul__(self, other):
-        mul = self.field.mul
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                v = out.get(m, 0) ^ mul(c1, c2)
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return SymPoly(self.field, out)
-
-    def scale(self, c):
-        mul = self.field.mul
-        return SymPoly(self.field, {m: mul(c, v) for m, v in self.terms.items()})
+    __slots__ = ()
 
     def expand(self) -> TriPoly:
         """Substitute e1, e2, e3 and return the trivariate expansion."""
-        out: dict = {}
+        out = TriPoly.zero(self.field)
         for exps, c in self.terms.items():
-            for m in _s_monomial_pattern(exps):
-                v = out.get(m, 0) ^ c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return TriPoly(self.field, out)
+            out = out + _e_monomial(exps).embed(self.field).scale(c)
+        return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[m]
-            factors = [f"e{i}" + (f"^{e}" if e > 1 else "") for i, e in zip((1, 2, 3), m) if e]
-            if c != 1 or not factors:
-                factors.insert(0, f"0x{c:x}")
-            parts.append("*".join(factors))
-        return "+".join(parts)
+        return _format(self, ("e1", "e2", "e3"), _grlex)
 
 
-_POWER_SUM_PATTERNS: list[dict] = []
+# x^i + y^i + z^i over GF(2) for i = 0, 1, 2, ..., extended on demand
+_GF2_POWER_SUMS = [SymPoly.monomial(_GF2, (i, 0, 0)) for i in range(3)]
 
 
 def power_sum(i: int, field: Field | None = None) -> SymPoly:
     """x^i + y^i + z^i in the symmetric basis, via the Newton-style recurrence."""
     if i < 0:
         raise ValueError("negative power sum index")
-    if not _POWER_SUM_PATTERNS:
-        _POWER_SUM_PATTERNS.extend(
-            [{(0, 0, 0): 1}, {(1, 0, 0): 1}, {(2, 0, 0): 1}]
-        )
-    while len(_POWER_SUM_PATTERNS) <= i:
-        k = len(_POWER_SUM_PATTERNS)
-        prev = [_POWER_SUM_PATTERNS[k - 1], _POWER_SUM_PATTERNS[k - 2], _POWER_SUM_PATTERNS[k - 3]]
-        shifts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        out: dict = {}
-        for p, (da, db, dc) in zip(prev, shifts):
-            for (a, b, c), v in p.items():
-                m = (a + da, b + db, c + dc)
-                if m in out:
-                    del out[m]
-                else:
-                    out[m] = 1
-        _POWER_SUM_PATTERNS.append(out)
-    if field is None:
-        field = field_make(1)
-    return SymPoly(field, dict(_POWER_SUM_PATTERNS[i]))
+    sums = _GF2_POWER_SUMS
+    e1, e2, e3 = (SymPoly.monomial(_GF2, m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    while len(sums) <= i:
+        # Newton's identities in characteristic 2
+        sums.append(e1 * sums[-1] + e2 * sums[-2] + e3 * sums[-3])
+    return sums[i].embed(field or _GF2)
 
 
 def to_symmetric(p: TriPoly):
     """Rewrite an S3-invariant TriPoly in the symmetric basis, else NotSymmetric."""
-    r = dict(p.terms)
+    r = p
     out = {}
     while r:
-        lm = max(r, key=_grlex)
+        lm = r.leading_monomial()
         a, b, c = lm
         if not (a >= b >= c):
             return NotSymmetric(lm)
         exps = (a - b, b - c, c)
-        coeff = r[lm]
-        out[exps] = coeff
-        for m in _s_monomial_pattern(exps):
-            v = r.get(m, 0) ^ coeff
-            if v:
-                r[m] = v
-            else:
-                r.pop(m, None)
+        out[exps] = r.terms[lm]
+        r = r + SymPoly.monomial(p.field, exps, out[exps]).expand()
     return SymPoly(p.field, out)
 
 
@@ -360,15 +201,6 @@ class IdentityReport:
     name: str
     holds: bool
     witness: str | None
-    elapsed: float
-
-
-def _with_quartic_subfield(field: Field):
-    """A field containing both the given one and GF(4), with the lift map."""
-    if field.n % 2 == 0:
-        return field, lambda p: p
-    big = field_make(2 * field.n)
-    return big, lambda p: embed_tripoly(p, big)
 
 
 def _quartic_generator(field: Field) -> int:
@@ -385,14 +217,15 @@ def _id_even_degree_split(field, d=20, e=5, j=2):
 
 
 def _id_quintic_factorization(field):
-    big, lift = _with_quartic_subfield(field)
+    # odd-degree fields have no element of order 3: use the quadratic extension
+    big = field if field.n % 2 == 0 else field_make(2 * field.n)
     alpha = _quartic_generator(big)
     x = TriPoly.variable(big, "x")
     y = TriPoly.variable(big, "y")
     z = TriPoly.variable(big, "z")
     a = TriPoly.constant(big, alpha)
     a2 = TriPoly.constant(big, big.sqr(alpha))
-    lhs = lift(surface_monomial(5, field))
+    lhs = surface_monomial(5, big)
     rhs = (x + a * y + a2 * z) * (x + a2 * y + a * z)
     return [NamedIdentity("quintic-factorization", "eq", lhs, rhs)]
 
@@ -478,10 +311,8 @@ IDENTITY_NAMES = tuple(BUILTIN_IDENTITIES)
 
 def check_identity(ident, field: Field | None = None, **params) -> IdentityReport:
     """Check one identity: a NamedIdentity, or a built-in referenced by name."""
-    start = time.perf_counter()
     if isinstance(ident, NamedIdentity):
-        holds, witness = ident.check()
-        return IdentityReport(ident.name, holds, witness, time.perf_counter() - start)
+        return IdentityReport(ident.name, *ident.check())
     if ident not in BUILTIN_IDENTITIES:
         raise ValueError(f"unknown identity {ident!r}; known: {', '.join(IDENTITY_NAMES)}")
     if field is None:
@@ -489,10 +320,8 @@ def check_identity(ident, field: Field | None = None, **params) -> IdentityRepor
     for clause in BUILTIN_IDENTITIES[ident](field, **params):
         holds, witness = clause.check()
         if not holds:
-            return IdentityReport(
-                ident, False, f"{clause.name}: {witness}", time.perf_counter() - start
-            )
-    return IdentityReport(ident, True, None, time.perf_counter() - start)
+            return IdentityReport(ident, False, f"{clause.name}: {witness}")
+    return IdentityReport(ident, True, None)
 
 
 def run_identity_suite(field: Field, names=None) -> list[IdentityReport]:

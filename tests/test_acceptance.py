@@ -122,19 +122,21 @@ def test_criterion_6_nonzero_multiplier_breaks_apn():
 
 
 def test_criterion_7_family_b_exhaustive():
-    with _Timer("criterion 7: family B over GF(2) and GF(8), all parameters", 30):
+    with _Timer("criterion 7: family B over GF(2) and GF(8), all parameters and scalings", 30):
         for n in (1, 3):
             K = field_make(n)
             tower = TowerField(K)
-            for a10 in range(K.order):
-                for a5 in range(K.order):
-                    p = FamilyBParams(K, K.elem(a10), K.elem(a5), UniPoly.zero(K))
-                    f = build_family_b(p)
-                    rep = check_family_b_divisor(f)
-                    assert rep.divides and rep.factorization_ok, (n, a10, a5)
-                    w = ccz_witness(f, tower)
-                    assert w and w.kind == "linear_of_power", (n, a10, a5)
-                    assert w.L == UniPoly(K, {4: 1, 2: a10, 1: a5}), (n, a10, a5)
+            for a20 in range(1, K.order):
+                for a10 in range(K.order):
+                    for a5 in range(K.order):
+                        p = FamilyBParams(K, K.elem(a10), K.elem(a5), UniPoly.zero(K))
+                        f = build_family_b(p).scale(a20)
+                        rep = check_family_b_divisor(f)
+                        assert rep.divides and rep.factorization_ok, (n, a20, a10, a5)
+                        w = ccz_witness(f, tower)
+                        assert w and w.kind == "linear_of_power", (n, a20, a10, a5)
+                        L = UniPoly(K, {4: 1, 2: a10, 1: a5}).scale(a20)
+                        assert w.L == L, (n, a20, a10, a5)
 
 
 def test_criterion_8_divisor_replay():

@@ -154,9 +154,7 @@ def test_composition_preserves_delta_for_linear_permutations():
     f = parse_unipoly("x^20+x^10+x^5", F2)
     base = differential_uniformity(f, F32).delta
     for L in (parse_unipoly("x^2", F2), parse_unipoly("x^4+x^2+x", F2)):
-        from apn20.polys import embed_unipoly
-
-        fe = embed_unipoly(f, F32)
-        le = embed_unipoly(L, F32)
+        fe = f.embed(F32)
+        le = L.embed(F32)
         assert differential_uniformity(fe.compose(le), F32).delta == base
         assert differential_uniformity(le.compose(fe), F32).delta == base

@@ -20,7 +20,7 @@ from apn20.classify import (
     verify_family_a_quotient,
 )
 from apn20.fields import TowerField, field_make
-from apn20.polys import TriPoly, UniPoly, embed_tripoly, parse_unipoly
+from apn20.polys import TriPoly, UniPoly, parse_unipoly
 from apn20.surface import plane_product, surface_monomial, surface_poly
 
 F2 = field_make(1)
@@ -103,7 +103,7 @@ def test_perturbed_plane_shapes():
     zero = QuadraticPerturbation(TW, EXT.zero, EXT.zero, EXT.zero, EXT.zero)
     assert perturbed_plane(zero) == plane_product(EXT)
     qp = QuadraticPerturbation.canonical(TW, G.bits)
-    s5 = embed_tripoly(surface_monomial(5, F2), EXT)
+    s5 = surface_monomial(5, EXT)
     expected = (
         plane_product(EXT)
         + s5.scale(G.bits)
@@ -123,7 +123,7 @@ def test_conjugate_product_equals_surface_of_linearized_cube():
     for c1 in TRACE_ZERO:
         qp = QuadraticPerturbation.canonical(TW, c1)
         L = linearized_from_conjugates(TW, EXT.elem(c1))
-        assert conjugate_product(qp) == embed_tripoly(surface_poly(L ** 3), EXT)
+        assert conjugate_product(qp) == surface_poly(L ** 3).embed(EXT)
 
 
 def test_conjugate_product_on_bigger_tower():
@@ -132,7 +132,7 @@ def test_conjugate_product_on_bigger_tower():
     for c1 in tz[:6]:
         qp = QuadraticPerturbation.canonical(tw, c1)
         L = linearized_from_conjugates(tw, tw.ext.elem(c1))
-        assert conjugate_product(qp) == embed_tripoly(surface_poly(L ** 3), tw.ext)
+        assert conjugate_product(qp) == surface_poly(L ** 3).embed(tw.ext)
 
 
 def test_conjugate_product_slice_closed_forms():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apn20 import classify
 from apn20.cli import main
 
 
@@ -108,6 +109,37 @@ def test_classify_family_a(capsys):
     assert all(payload["constraints"].values())
 
 
+def test_classify_scaled_family_b(capsys):
+    code, out, _ = run(
+        capsys, "classify", "--field", "2", "--poly", "0x2*x^20+0x2*x^5", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "B"
+    assert payload["L"] == "0x2*x^4+0x2*x"
+    assert payload["quintic_divides"] and payload["quintic_factorization_ok"]
+
+
+def test_classify_searches_family_a_once(capsys, monkeypatch):
+    calls = []
+    search = classify.search_perturbations
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(classify, "search_perturbations", counted)
+    code, out, _ = run(
+        capsys,
+        "classify", "--field", "1",
+        "--poly", "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5",
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["family"] == "A"
+    assert len(calls) == 1
+
+
 def test_classify_no_witness(capsys):
     code, out, _ = run(capsys, "classify", "--field", "1", "--poly", "x^20+x^19")
     assert code == 0
@@ -141,9 +173,20 @@ def test_divisors_json_both_conventions(capsys):
         assert len(surv) == 2
 
 
-def test_identical_invocations_are_byte_identical(capsys):
-    _, out1, _ = run(capsys, "scan", "--poly", "x^13", "--n-from", "2", "--n-to", "6", "--json")
-    _, out2, _ = run(capsys, "scan", "--poly", "x^13", "--n-from", "2", "--n-to", "6", "--json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--field", "3", "--json"],
+        ["apn", "--field", "4", "--poly", "x^5", "--json"],
+        ["scan", "--poly", "x^13", "--n-from", "2", "--n-to", "6", "--json"],
+        ["classify", "--field", "1", "--poly", "x^20+x^10+x^5", "--json"],
+        ["divisors", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_identical_invocations_are_byte_identical(capsys, argv):
+    _, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
     assert out1 == out2
 
 

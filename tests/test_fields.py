@@ -9,7 +9,6 @@ from apn20.fields import (
     is_irreducible,
     parse_elem,
     parse_field_spec,
-    q_form,
     smallest_irreducible,
 )
 
@@ -208,12 +207,9 @@ def test_gf8_frobenius_example(tower_1_3):
 
 def test_trace_norm_values(tower_1_3):
     tw = tower_1_3
-    tr, nm = tw.trace_norm(tw.ext.elem(0b10))
-    assert (tr.bits, nm.bits) == (0, 1)
-    tr1, nm1 = tw.trace_norm(tw.ext.elem(1))
-    assert (tr1.bits, nm1.bits) == (1, 1)
-    tr0, nm0 = tw.trace_norm(tw.ext.elem(0))
-    assert (tr0.bits, nm0.bits) == (0, 0)
+    assert (tw.trace_bits(0b10), tw.norm_bits(0b10)) == (0, 1)
+    assert (tw.trace_bits(1), tw.norm_bits(1)) == (1, 1)
+    assert (tw.trace_bits(0), tw.norm_bits(0)) == (0, 0)
 
 
 def test_trace_additive_norm_multiplicative(tower_1_3, tower_2_6):
@@ -276,17 +272,6 @@ def test_q6_symmetric_in_arguments(tower_1_3):
     for a, b, c in itertools.product(range(8), repeat=3):
         vals = {tw.q6_bits(*perm) for perm in itertools.permutations((a, b, c))}
         assert len(vals) == 1
-
-
-def test_q_form_dispatch(tower_1_3):
-    tw = tower_1_3
-    g = tw.ext.elem(0b10)
-    assert q_form("q1", [g], tw) == tw.q1(g)
-    assert q_form("q4", [g, g], tw) == tw.q4(g, g)
-    with pytest.raises(ValueError, match="argument"):
-        q_form("q4", [g], tw)
-    with pytest.raises(ValueError, match="unknown"):
-        q_form("q9", [g], tw)
 
 
 def test_quartic_product_coefficients(tower_1_3, tower_2_6):

@@ -7,7 +7,6 @@ from apn20.polys import (
     PolyParseError,
     TriPoly,
     UniPoly,
-    embed_unipoly,
     exact_div,
     format_tripoly,
     format_unipoly,
@@ -15,6 +14,7 @@ from apn20.polys import (
     parse_tripoly,
     parse_unipoly,
 )
+from apn20.surface import SymPoly
 
 F2 = field_make(1)
 F8 = field_make(3)
@@ -127,6 +127,41 @@ def test_exact_div_round_trip(a, b):
     assert exact_div(a * b, b) == a
 
 
+def uni_polys(field, max_exp=6, max_terms=4):
+    coeffs = st.integers(min_value=1, max_value=field.order - 1)
+    return st.dictionaries(st.integers(0, max_exp), coeffs, max_size=max_terms).map(
+        lambda d: UniPoly(field, d)
+    )
+
+
+def sym_polys(field, **kwargs):
+    return tri_polys(field, **kwargs).map(lambda t: SymPoly(field, t.terms))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    p=st.one_of(
+        uni_polys(F8),
+        tri_polys(F8, max_exp=2, max_terms=3),
+        sym_polys(F8, max_exp=2, max_terms=3),
+    ),
+    k=st.integers(0, 6),
+)
+def test_power_equals_repeated_product(p, k):
+    # __pow__ squares through each class's _sqr; the oracle only multiplies
+    expected = type(p).constant(F8, 1)
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(a=sym_polys(F8, max_terms=4), b=sym_polys(F8, max_terms=4))
+def test_expand_is_multiplicative(a, b):
+    assert (a * b).expand() == a.expand() * b.expand()
+    assert (a + b).expand() == a.expand() + b.expand()
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(p=tri_polys(F8))
 def test_tripoly_format_parse_round_trip(p):
@@ -165,7 +200,7 @@ def test_zero_polynomial_formats():
 def test_embed_unipoly_into_extension():
     F4 = field_make(2)
     f = UniPoly(F4, {3: 0b10, 1: 0b11})
-    g = embed_unipoly(f, field_make(6))
+    g = f.embed(field_make(6))
     # evaluation commutes with the embedding
     from apn20.fields import find_embedding
 

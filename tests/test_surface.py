@@ -53,6 +53,16 @@ def test_kernel_sampled_over_gf8():
         assert (not surface_poly(f)) == f.is_qaffine()
 
 
+@pytest.mark.parametrize(
+    "spec", [(3, None), (4, 0x19), (8, 0x11D)], ids=["GF8", "GF16:0x19", "GF256:0x11d"]
+)
+@pytest.mark.parametrize("d", range(22))
+def test_lifted_monomial_matches_surface_in_field(spec, d):
+    # S_d is computed once over GF(2) and lifted; the oracle divides in K itself
+    K = field_make(*spec)
+    assert surface_monomial(d, K) == surface_poly(UniPoly.monomial(K, d))
+
+
 def test_monomial_table_values():
     A = plane_product(F2)
     s5 = surface_monomial(5, F2)
@@ -86,8 +96,8 @@ def test_total_degree_drop():
 
 
 def test_power_sum_base_cases():
-    assert power_sum(1) == SymPoly.monomial(F2, 1, 0, 0)
-    assert power_sum(2) == SymPoly.monomial(F2, 2, 0, 0)
+    assert power_sum(1) == SymPoly.monomial(F2, (1, 0, 0))
+    assert power_sum(2) == SymPoly.monomial(F2, (2, 0, 0))
     assert power_sum(3) == SymPoly(F2, {(3, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1})
 
 
@@ -104,14 +114,14 @@ def test_power_sum_matches_direct_expansion():
 def test_monomial_agrees_with_power_sum_quotient():
     # the quotient of p_i + e1^i by the plane product reproduces S_i
     for i in range(3, 21):
-        num = (power_sum(i, F8) + SymPoly.monomial(F8, i, 0, 0)).expand()
+        num = (power_sum(i, F8) + SymPoly.monomial(F8, (i, 0, 0))).expand()
         q = exact_div(num, plane_product(F8))
         assert q == surface_monomial(i, F8)
 
 
 def test_to_symmetric_examples():
     e1 = TriPoly(F2, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    assert to_symmetric(e1) == SymPoly.monomial(F2, 1, 0, 0)
+    assert to_symmetric(e1) == SymPoly.monomial(F2, (1, 0, 0))
     assert to_symmetric(plane_product(F2)) == SymPoly(F2, {(1, 1, 0): 1, (0, 0, 1): 1})
     bad = to_symmetric(TriPoly(F2, {(1, 0, 0): 1, (0, 1, 0): 1}))
     assert isinstance(bad, NotSymmetric)
