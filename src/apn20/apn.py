@@ -1,10 +1,22 @@
-"""Brute-force differential analysis of polynomial functions on GF(2^n).
+"""Differential analysis of polynomial functions on GF(2^n).
 
 The differential count of f at (a, b) is the number of x with
-f(x+a) + f(x) = b.  Counts are found by exhaustive evaluation; the
-differential uniformity is the maximum over a != 0, and f is APN when
-that maximum is 2.  Scans across field degrees embed the coefficients
-through the canonical subfield embeddings.
+f(x+a) + f(x) = b.  The differential uniformity is the maximum count over
+a != 0, and f is APN when that maximum is 2.  `differential_uniformity`
+takes one of three exact paths, each ending in the full row of the worst a:
+
+- one non-constant term c x^d: every row is row 1 with b scaled by a^d,
+  so row 1 alone decides;
+- quadratic f (every exponent of binary weight <= 2): x -> D_a f(x) +
+  D_a f(0) is GF(2)-linear, so row a peaks at 2^(n - rank), found from n
+  probes and one GF(2) elimination;
+- any other f: every row is counted by exhaustive evaluation.
+
+The last two visit only the least element of each Frobenius orbit
+a -> a^(2^m), where GF(2^m) holds the coefficients, since rows in one
+orbit are permutations of each other.  A full table dump counts every row.
+Scans across field degrees embed the coefficients through the canonical
+subfield embeddings.
 """
 
 from __future__ import annotations
@@ -64,33 +76,126 @@ def diff_count(f: UniPoly, a: FieldElem, b: FieldElem) -> int:
     return sum(1 for x in range(K.order) if vt[x ^ ab] ^ vt[x] == bb)
 
 
+def _row_counts(vt: list[int], a: int) -> list[int]:
+    """Row a of the difference table: counts[b] = #{x : f(x+a) + f(x) = b}."""
+    counts = [0] * len(vt)
+    for x in range(len(vt)):
+        counts[vt[x ^ a] ^ vt[x]] += 1
+    return counts
+
+
+def _gf2_rank(vectors) -> int:
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def coefficient_degree(g: UniPoly) -> int:
+    """Smallest divisor m of n with c^(2^m) = c for every non-constant coefficient.
+
+    The constant term is left out: it cancels in every derivative.
+    """
+    K = g.field
+    coeffs = [c for e, c in g.terms.items() if e]
+    for m in range(1, K.n):
+        if K.n % m == 0 and all(K.pow_(c, 1 << m) == c for c in coeffs):
+            return m
+    return K.n
+
+
+def frobenius_orbit_reps(field: Field, m: int):
+    """Nonzero a in increasing order, skipping any a that is not the least
+    element of its orbit under x -> x^(2^m)."""
+    q = field.order
+    if m == field.n:
+        yield from range(1, q)
+        return
+    # x -> x^(2^m) is GF(2)-linear: tabulate it from the images of the basis
+    basis = [field.pow_(1 << i, 1 << m) for i in range(field.n)]
+    frob = [0] * q
+    for a in range(1, q):
+        low = a & -a
+        frob[a] = frob[a ^ low] ^ basis[low.bit_length() - 1]
+    for a in range(1, q):
+        b = frob[a]
+        while b > a:
+            b = frob[b]
+        if b == a:
+            yield a
+
+
+def differential_path(g: UniPoly) -> str:
+    """The path `differential_uniformity` takes for g when no table is kept."""
+    exps = [e for e in g.terms if e]
+    if len(exps) == 1:
+        return "monomial"
+    if all(bin(e).count("1") <= 2 for e in exps):
+        return "quadratic"
+    return "brute"
+
+
+def _least_rank_row(vt: list[int], field: Field, m: int) -> tuple[int, int]:
+    """The smallest a of least rank r of x -> f(x+a) + f(x) + f(a) + f(0),
+    which is linear for quadratic f; row a then peaks at 2^(n-r)."""
+    units = [1 << i for i in range(field.n)]
+    best_a, best_rank = 0, field.n + 1
+    for a in frobenius_orbit_reps(field, m):
+        fa = vt[a] ^ vt[0]
+        rank = _gf2_rank([vt[u ^ a] ^ vt[u] ^ fa for u in units])
+        if rank < best_rank:
+            best_a, best_rank = a, rank
+    return best_a, best_rank
+
+
 def differential_uniformity(f: UniPoly, field: Field, keep_ddt: bool = False) -> DiffReport:
-    """Scan the whole difference table; worst pair ties break to smallest (a, b)."""
+    """Differential uniformity; the worst pair ties break to smallest (a, b).
+
+    With keep_ddt every row is counted and kept.  Otherwise the path of
+    `differential_path` picks the worst a, whose full row is rebuilt for
+    worst_b and to re-check delta; a mismatch raises AssertionError.
+    """
     q = field.order
     if q > DDT_CAP:
         raise CapExceeded(f"{field} is above the differential cap 2^20")
     if keep_ddt and q > FULL_DDT_CAP:
         raise CapExceeded(f"full table dump capped at 2^10, got {field}")
-    vt = value_table(f, field)
-    delta = -1
-    worst_a = worst_b = 0
-    rows = [] if keep_ddt else None
-    for a in range(1, q):
-        counts = [0] * q
-        for x in range(q):
-            counts[vt[x ^ a] ^ vt[x]] += 1
-        row_max = 0
-        row_b = 0
-        for b, cnt in enumerate(counts):
-            if cnt > row_max:
-                row_max = cnt
-                row_b = b
-        if row_max > delta:
-            delta, worst_a, worst_b = row_max, a, row_b
-        if rows is not None:
-            rows.append(counts)
+    g = f.embed(field)
+    vt = value_table(g, field)
+    path = "brute" if keep_ddt else differential_path(g)
+    if path == "brute":
+        reps = range(1, q) if keep_ddt else frobenius_orbit_reps(field, coefficient_degree(g))
+        rows = [] if keep_ddt else None
+        delta = -1
+        for a in reps:
+            counts = _row_counts(vt, a)
+            row_max = max(counts)
+            if row_max > delta:
+                delta, worst_a, worst_b = row_max, a, counts.index(row_max)
+            if rows is not None:
+                rows.append(counts)
+        return DiffReport(
+            field, f, delta, delta <= 2, field.elem(worst_a), field.elem(worst_b), rows
+        )
+    if path == "monomial":
+        worst_a, expected = 1, None
+    else:
+        worst_a, rank = _least_rank_row(vt, field, coefficient_degree(g))
+        expected = 1 << (field.n - rank)
+    counts = _row_counts(vt, worst_a)
+    delta = max(counts)
+    if expected is not None and delta != expected:
+        raise AssertionError(
+            f"over {field}, derivative rank gives delta {expected} "
+            f"but row a=0x{worst_a:x} peaks at {delta}"
+        )
     return DiffReport(
-        field, f, delta, delta <= 2, field.elem(worst_a), field.elem(worst_b), rows
+        field, f, delta, delta <= 2, field.elem(worst_a), field.elem(counts.index(delta))
     )
 
 

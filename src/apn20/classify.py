@@ -192,7 +192,8 @@ class FamilyAReport:
     remainder_monomial: tuple | None = None
 
 
-def _constraints_for(qp: QuadraticPerturbation) -> dict[str, bool]:
+def constraints_for(qp: QuadraticPerturbation) -> dict[str, bool]:
+    """The family-A parameter relations, evaluated at the perturbation qp."""
     tw = qp.tower
     ext = tw.ext
     c1, c4, b1, d = qp.c1.bits, qp.c4.bits, qp.b1.bits, qp.d.bits
@@ -221,7 +222,7 @@ def check_family_a_divisor(f: UniPoly, qp: QuadraticPerturbation) -> FamilyARepo
     phi = surface_poly(f.embed(tw.base))
     prod = _conjugate_product_base(qp)
     q = exact_div(phi, prod)
-    constraints = _constraints_for(qp)
+    constraints = constraints_for(qp)
     if isinstance(q, NotDivisible):
         return FamilyAReport(False, None, constraints, q.leading_monomial)
     return FamilyAReport(True, q, constraints)

@@ -2,7 +2,9 @@
 
 Reports are deterministic for a fixed invocation.  Exit codes: 0 when the
 command completed and every checked statement holds, 1 when a check fails,
-2 on usage or parse errors, 3 when a size cap is exceeded.  JSON reports
+2 on usage or parse errors, 3 when a size cap is exceeded, 4 when an
+internal invariant fails (an AssertionError or RuntimeError, reported in
+one stderr line), so a crash cannot pass for a failed check.  JSON reports
 carry "schema": 1 and serialize field elements as 0xHEX.
 """
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _hex(v) -> str:
@@ -202,7 +205,7 @@ def _cmd_classify(args) -> int:
     rep_b = classify.check_family_b_divisor(f)
     if family == "A":
         qp = classify.QuadraticPerturbation.canonical(tower, witness.c1.bits)
-        constraints = classify.check_family_a_divisor(f, qp).constraints
+        constraints = classify.constraints_for(qp)
 
     if args.json:
         payload = {
@@ -328,6 +331,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, RuntimeError) as e:
+        detail = " ".join(str(e).split()) or "no detail"
+        print(f"error: internal: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ lines and timings.
 
 import random
 import time
+from math import gcd
 
 from apn20.apn import apn_scan, differential_uniformity
 from apn20.classify import (
@@ -172,3 +173,13 @@ def test_criterion_9_invariance():
         for L in perms:
             assert differential_uniformity(f.compose(L), K).delta == base
             assert differential_uniformity(L.compose(f), K).delta == base
+
+
+def test_criterion_10_gold_monomials_to_n16():
+    with _Timer("criterion 10: delta of x^3, x^5, x^9, x^20 is 2^gcd(i, n) for n in 11..16", 30):
+        # x^20 = (x^5)^4 shares the differential profile of x^(2^2+1)
+        for d, i in ((3, 1), (5, 2), (9, 3), (20, 2)):
+            f = UniPoly.monomial(F2, d)
+            for n in range(11, 17):
+                rep = differential_uniformity(f, field_make(n))
+                assert rep.delta == 1 << gcd(i, n), (d, n, rep.delta)

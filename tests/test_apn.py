@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apn20.apn import (
     CapExceeded,
     apn_scan,
+    coefficient_degree,
     diff_count,
+    differential_path,
     differential_uniformity,
+    frobenius_orbit_reps,
     invariance_check,
     value_table,
 )
@@ -158,3 +162,72 @@ def test_composition_preserves_delta_for_linear_permutations():
         le = L.embed(F32)
         assert differential_uniformity(fe.compose(le), F32).delta == base
         assert differential_uniformity(le.compose(fe), F32).delta == base
+
+
+# -- fast paths against the brute-force oracle --------------------------------
+
+QUADRATIC_EXPS = sorted({(1 << i) | (1 << j) for i in range(11) for j in range(11)})
+GENERAL_EXPS = [e for e in range(1, 64) if bin(e).count("1") >= 3]
+
+
+@st.composite
+def subfield_polys(draw, n, kind):
+    """A polynomial over a random subfield GF(2^m) of GF(2^n) taking `kind`'s path."""
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    B = field_make(m)
+    coeff = st.integers(1, B.order - 1)
+    if kind == "monomial":
+        exps = [draw(st.integers(1, 64))]
+    elif kind == "quadratic":
+        exps = draw(st.lists(st.sampled_from(QUADRATIC_EXPS), min_size=2, max_size=5, unique=True))
+    else:
+        exps = draw(st.lists(st.sampled_from(GENERAL_EXPS), min_size=1, max_size=2, unique=True))
+        rest = [e for e in range(1, 41) if e not in exps]
+        exps += draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))
+    terms = {e: draw(coeff) for e in exps}
+    terms[0] = draw(st.integers(0, B.order - 1))
+    return UniPoly(B, terms)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "quadratic", "brute"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fast_paths_match_brute_force(n, kind):
+    K = field_make(n)
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(f=subfield_polys(n, kind))
+    def check(f):
+        assert differential_path(f.embed(K)) == kind
+        fast = differential_uniformity(f, K)
+        oracle = differential_uniformity(f, K, keep_ddt=True)
+        assert (fast.delta, fast.worst_a, fast.worst_b) == (
+            oracle.delta, oracle.worst_a, oracle.worst_b
+        )
+
+    check()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbit_reps_are_the_orbit_minima(n):
+    K = field_make(n)
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        minima = set()
+        for a in range(1, K.order):
+            orbit = {K.pow_(a, 1 << (m * k)) for k in range(n // m)}
+            minima.add(min(orbit))
+        assert list(frobenius_orbit_reps(K, m)) == sorted(minima), m
+
+
+def test_coefficient_degree_ignores_the_constant():
+    F16 = field_make(4)
+    g4 = UniPoly(field_make(2), {3: 0b10, 5: 1}).embed(F16)
+    assert coefficient_degree(g4) == 2
+    assert coefficient_degree(g4 + UniPoly.constant(F16, 0b10)) == 2
+    assert coefficient_degree(UniPoly(F16, {3: 1, 0: 0b10})) == 1
+    assert coefficient_degree(UniPoly(F16, {3: 0b10})) == 4
+
+
+def test_rank_mismatch_is_an_invariant_failure(monkeypatch):
+    monkeypatch.setattr("apn20.apn._gf2_rank", lambda vectors: 0)
+    with pytest.raises(AssertionError, match="derivative rank"):
+        differential_uniformity(parse_unipoly("x^20+x^10+x^5", F2), F16)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from apn20 import classify
+from apn20 import apn, classify
 from apn20.cli import main
 
 
@@ -140,6 +140,23 @@ def test_classify_searches_family_a_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+
+def test_classify_family_a_reads_constraints_without_redividing(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("check_family_a_divisor repeats the search's division")
+
+    monkeypatch.setattr(classify, "check_family_a_divisor", forbidden)
+    code, out, _ = run(
+        capsys,
+        "classify", "--field", "1",
+        "--poly", "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5",
+        "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "A"
+    assert len(payload["constraints"]) == 11 and all(payload["constraints"].values())
+
 def test_classify_no_witness(capsys):
     code, out, _ = run(capsys, "classify", "--field", "1", "--poly", "x^20+x^19")
     assert code == 0
@@ -212,3 +229,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["scan", "--poly", "x^5"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (AssertionError("row peaks at 4,\nnot 2"), 4, "error: internal: AssertionError: row peaks"),
+        (RuntimeError("stage broke"), 4, "error: internal: RuntimeError: stage broke"),
+        (AssertionError(), 4, "error: internal: AssertionError: no detail"),
+        (apn.CapExceeded("over the cap"), 3, "error: over the cap"),
+    ],
+    ids=["assertion", "runtime", "bare-assert", "cap"],
+)
+def test_internal_failures_exit_4_and_caps_exit_3(capsys, monkeypatch, exc, code, prefix):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(apn, "differential_uniformity", broken)
+    got, out, err = run(capsys, "apn", "--field", "4", "--poly", "x^5", "--json")
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_rank_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(apn, "_gf2_rank", lambda vectors: 0)
+    code, out, err = run(capsys, "apn", "--field", "4", "--poly", "x^20+x^10+x^5", "--json")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: AssertionError: over GF(2^4), derivative rank")
