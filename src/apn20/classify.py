@@ -16,14 +16,18 @@ Galois conjugates), family B means the quintic surface polynomial divides
 it.  Both directions are checked here by exact division, the quotient is
 compared slice by slice against its closed form, and explicit equivalence
 witnesses to x^5 are produced and re-verified.
+
+Family A is solved, not searched: c and its conjugates are the roots of
+X^3 + (a18/a20) X + a17/a20, read off the coefficients of f, so only those
+roots in GF(q^3) are tried, each accepted by exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apn import CapExceeded, differential_uniformity
-from .fields import Field, FieldElem, TowerField, field_make
+from .apn import differential_uniformity
+from .fields import Field, FieldElem, TowerField, field_make, roots
 from .polys import (
     NotDivisible,
     TriPoly,
@@ -33,7 +37,6 @@ from .polys import (
 )
 from .surface import plane_product, surface_monomial, surface_poly
 
-SEARCH_CAP = 1 << 12
 CHECK_FIELD_CAP = 1 << 12
 
 
@@ -266,19 +269,23 @@ def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
 def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
     """All c1 whose canonical perturbation divisor divides the surface of f.
 
-    Exhaustive over the tower extension (capped at 2^12 elements); every
-    hit is checked against the trace-zero necessary condition.
+    A family-A f has a18 = a20 q1(c1) and a17 = a20 N(c1) with Tr(c1) = 0,
+    so c1 and its conjugates are the roots of X^3 + (a18/a20) X + a17/a20.
+    Only the distinct roots of that cubic in the tower extension are tried;
+    each is accepted by exact division and checked against the trace-zero
+    necessary condition.  The result is sorted by bits.
     """
-    if tower.ext.order > SEARCH_CAP:
-        raise CapExceeded(f"{tower.ext} is above the search cap 2^12")
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
-    phi = surface_poly(f.embed(tower.base))
+    base = tower.base
+    f = f.embed(base)
+    inv20 = base.inv(f.coeff(20))
+    cubic = [base.mul(inv20, f.coeff(17)), base.mul(inv20, f.coeff(18)), 0, 1]
+    phi = surface_poly(f)
     hits = []
-    for c1_bits in range(tower.ext.order):
+    for c1_bits in roots([tower.embed_bits(c) for c in cubic], tower.ext):
         qp = QuadraticPerturbation.canonical(tower, c1_bits)
-        prod = _conjugate_product_base(qp)
-        q = exact_div(phi, prod)
+        q = exact_div(phi, _conjugate_product_base(qp))
         if not isinstance(q, NotDivisible):
             if tower.trace_bits(c1_bits) != 0:
                 raise AssertionError(
@@ -469,7 +476,7 @@ def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None)
     hits = search_perturbations(f, tower)
     if not hits:
         return NoWitness("family_a_search", "no perturbation divisor divides the surface")
-    for c1 in sorted(hits, key=lambda e: e.bits):
+    for c1 in hits:
         L = linearized_from_conjugates(tower, c1)
         core = L ** 5
         residual = f + core

@@ -360,13 +360,12 @@ def parse_elem(s: str, field: Field) -> FieldElem:
     return field.elem(bits)
 
 
-# -- embeddings ----------------------------------------------------------------
+# -- roots and embeddings ------------------------------------------------------
 #
-# Subfield embeddings GF(2^m) -> GF(2^n) (m | n) send t to a root of the
-# base modulus in the big field.  Any root gives a field homomorphism; the
-# root with the smallest bit pattern is chosen so embeddings are
-# deterministic.  Roots are found by trace splitting, which only needs
-# small dense polynomials over the big field.
+# Dense polynomials over a Field are lists of coefficient bits, lowest degree
+# first.  Subfield embeddings GF(2^m) -> GF(2^n) (m | n) send t to a root of
+# the base modulus in the big field.  Any root gives a field homomorphism;
+# the smallest root is chosen so embeddings are deterministic.
 
 
 def _pnorm(p):
@@ -386,18 +385,19 @@ def _padd(p, q):
 
 def _pmonic(p, K):
     inv = K.inv(p[-1])
-    if inv == 1:
-        return list(p)
-    return _pnorm([K.mul(inv, c) for c in p])
+    return [K.mul(inv, c) for c in p]
 
 
 def _pmod(p, m, K):
-    # m monic
+    # p mod m up to a nonzero factor (exactly p mod m for monic m): scaling
+    # by the lead of m instead of dividing by it needs no inverse
     r = list(p)
     dm = len(m) - 1
     while len(r) - 1 >= dm and r:
         c = r[-1]
         shift = len(r) - 1 - dm
+        if m[-1] != 1:
+            r = [K.mul(m[-1], v) for v in r]
         for i, mc in enumerate(m):
             if mc:
                 r[i + shift] ^= K.mul(c, mc)
@@ -406,11 +406,9 @@ def _pmod(p, m, K):
 
 
 def _pgcd(a, b, K):
-    a, b = list(a), list(b)
     while b:
-        b = _pmonic(b, K)
         a, b = b, _pmod(a, b, K)
-    return a
+    return _pmonic(a, K)
 
 
 def _psqr(p, K):
@@ -421,41 +419,44 @@ def _psqr(p, K):
     return _pnorm(out)
 
 
-def _split_deltas(K: Field):
-    # single bits first: any two distinct roots are separated by some basis
-    # functional, so a proper split arrives within K.n probes
-    for i in range(K.n):
-        yield 1 << i
-    for v in range(1, K.order):
-        if v & (v - 1):
-            yield v
+def _split(g, xs, i, K, out):
+    # g monic, squarefree, with every root in K, and xs[j] = X^(2^j) mod a
+    # multiple of g.  T(X) = sum of (2^i)^(2^j) xs[j] is Tr(2^i r) in GF(2)
+    # at each root r, so gcd(g, T) and gcd(g, T + 1) split the roots.
+    # Distinct roots differ in Tr(2^i r) for some bit i, and a bit that
+    # failed on g fails on its factors.
+    while len(g) > 2:
+        if i == K.n:
+            raise RuntimeError(f"root splitting failed in {K}")
+        t, d = [], 1 << i
+        for s in xs:
+            t = _padd(t, [K.mul(d, c) for c in s])
+            d = K.sqr(d)
+        i += 1
+        g0 = _pgcd(g, t, K)
+        if 0 < len(g0) - 1 < len(g) - 1:
+            _split(g0, xs, i, K, out)
+            g = _pgcd(g, _padd(t, [1]), K)
+    if len(g) == 2:
+        out.append(g[0])
 
 
-def _find_one_root(mbits: int, K: Field) -> int:
-    """One root in K of an irreducible GF(2)[t] polynomial whose degree divides K.n."""
-    h = [(mbits >> i) & 1 for i in range(mbits.bit_length())]
-    while len(h) - 1 > 1:
-        for delta in _split_deltas(K):
-            # T(X) = sum of (delta*X)^(2^i) mod h; T(r) is a GF(2) trace value,
-            # so gcd(h, T) and gcd(h, T+1) split the roots by trace.
-            s = _pmod([0, delta], h, K)
-            acc = list(s)
-            for _ in range(K.n - 1):
-                s = _pmod(_psqr(s, K), h, K)
-                acc = _padd(acc, s)
-            for probe in (acc, _padd(list(acc), [1])):
-                if not probe:
-                    continue
-                g = _pgcd(h, probe, K)
-                if 0 < len(g) - 1 < len(h) - 1:
-                    h = _pmonic(g, K)
-                    break
-            else:
-                continue
-            break
-        else:
-            raise RuntimeError(f"root splitting failed for {poly_str(mbits)} in {K}")
-    return K.mul(h[0], K.inv(h[1]))
+def roots(coeffs, K: Field) -> list[int]:
+    """The distinct roots in K of sum coeffs[i] X^i (bits over K), sorted.
+
+    gcd(h, X^|K| + X) keeps one linear factor per root in K, which also
+    drops repeated roots; trace splitting (Berlekamp 1970) separates them.
+    """
+    h = _pnorm(list(coeffs))
+    if not h:
+        raise ValueError("the zero polynomial vanishes on all of " + repr(K))
+    h = _pmonic(h, K)
+    xs = [_pmod([0, 1], h, K)]
+    for _ in range(K.n):
+        xs.append(_pmod(_psqr(xs[-1], K), h, K))
+    out = []
+    _split(_pgcd(h, _padd(xs[-1], xs[0]), K), xs[:-1], 0, K, out)
+    return sorted(out)
 
 
 class Embedding:
@@ -509,17 +510,8 @@ def find_embedding(base: Field, ext: Field) -> Embedding:
     cached = _EMBED_CACHE.get(key)
     if cached is not None:
         return cached
-    if base == ext:
-        beta = _gf2_mod(0b10, base.modulus)
-    else:
-        r = _find_one_root(base.modulus, ext)
-        best = r
-        for _ in range(base.n - 1):
-            r = ext.sqr(r)
-            if r < best:
-                best = r
-        beta = best
-    emb = Embedding(base, ext, beta)
+    modulus = [(base.modulus >> i) & 1 for i in range(base.n + 1)]
+    emb = Embedding(base, ext, min(roots(modulus, ext)))
     _EMBED_CACHE[key] = emb
     return emb
 

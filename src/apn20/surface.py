@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fields import Field, field_make, _find_one_root
+from .fields import Field, field_make, roots
 from .polys import NotDivisible, TriPoly, UniPoly, exact_div, _format, _grlex
 
 # -- field-independent building blocks ------------------------------------------
@@ -204,8 +204,8 @@ class IdentityReport:
 
 
 def _quartic_generator(field: Field) -> int:
-    # a root of t^2+t+1, i.e. an element of multiplicative order 3
-    return _find_one_root(0b111, field)
+    # a root of X^2+X+1, i.e. an element of multiplicative order 3
+    return min(roots([1, 1, 1], field))
 
 
 def _id_even_degree_split(field, d=20, e=5, j=2):

@@ -4,11 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from math import gcd
 
 from apn20.apn import apn_scan, differential_uniformity
+from apn20.cli import main
 from apn20.classify import (
     FamilyAParams,
     FamilyBParams,
@@ -25,8 +29,8 @@ from apn20.divisors import (
     case_analysis,
     survivors,
 )
-from apn20.fields import TowerField, field_make
-from apn20.polys import UniPoly, is_permutation, parse_unipoly
+from apn20.fields import TowerField, field_make, roots
+from apn20.polys import UniPoly, format_unipoly, is_permutation, parse_unipoly
 from apn20.surface import run_identity_suite, surface_poly
 
 F2 = field_make(1)
@@ -183,3 +187,38 @@ def test_criterion_10_gold_monomials_to_n16():
             for n in range(11, 17):
                 rep = differential_uniformity(f, field_make(n))
                 assert rep.delta == 1 << gcd(i, n), (d, n, rep.delta)
+
+
+def _classify_json(n, poly):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", "--field", str(n), "--poly", poly, "--json"])
+    assert code == 0, (n, poly, code)
+    return json.loads(out.getvalue())
+
+
+def test_criterion_11_classify_reaches_gf256():
+    with _Timer("criterion 11: classify decides families A, B and none over GF(2^4)..GF(2^8)", 20):
+        readme_a = "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5"
+        tail = "+x^16+x^2+1"
+        for n in range(4, 9):
+            K = field_make(n)
+            # L = x^4+x^2+x is x(x+c)(x+c^2)(x+c^4) for the roots c of X^3+X+1
+            # in GF(8): trace zero in the tower unless GF(8) lies in the base
+            got = _classify_json(n, readme_a + tail)
+            if n % 3:
+                assert got["family"] == "A" and got["L"] == "x^4+x^2+x", (n, got)
+                assert all(got["constraints"].values()), (n, got["constraints"])
+            else:
+                assert got["failure_stage"] == "family_a_search", (n, got)
+            # X^3 + X + s3 without roots in the base: its roots are conjugate
+            # and trace zero, so L = x^4 + x^2 + s3 x gives a family-A member
+            s3 = next(s for s in range(1, K.order) if not roots([s, 1, 0, 1], K))
+            L = UniPoly(K, {4: 1, 2: 1, 1: s3})
+            got = _classify_json(n, format_unipoly(L ** 5) + tail)
+            assert got["family"] == "A" and got["L"] == format_unipoly(L), (n, got)
+            assert all(got["constraints"].values()), (n, got["constraints"])
+            got = _classify_json(n, "0x3*x^20+0x2*x^10+x^5" + tail)
+            assert got["family"] == "B" and got["quintic_factorization_ok"], (n, got)
+            got = _classify_json(n, "x^20+x^19+x^7")
+            assert got["family"] == "none", (n, got)

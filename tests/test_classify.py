@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apn20.apn import differential_uniformity
 from apn20.classify import (
@@ -20,7 +21,7 @@ from apn20.classify import (
     verify_family_a_quotient,
 )
 from apn20.fields import TowerField, field_make
-from apn20.polys import TriPoly, UniPoly, parse_unipoly
+from apn20.polys import NotDivisible, TriPoly, UniPoly, exact_div, parse_unipoly
 from apn20.surface import plane_product, surface_monomial, surface_poly
 
 F2 = field_make(1)
@@ -339,3 +340,46 @@ def test_full_pipeline_on_quartic_base_tower():
     wb = ccz_witness(fb, tw)
     assert wb.kind == "linear_of_power"
     assert wb.residual == UniPoly(F4, {16: 1})
+
+
+def _exhaustive_hits(f, tower):
+    """Oracle: every c1 in the tower extension whose canonical conjugate
+    product divides the surface of f."""
+    phi = surface_poly(f)
+    hits = []
+    for c1 in range(tower.ext.order):
+        qp = QuadraticPerturbation.canonical(tower, c1)
+        prod = conjugate_product(qp).map_coeffs(tower.to_base_bits, tower.base)
+        if not isinstance(exact_div(phi, prod), NotDivisible):
+            hits.append(tower.ext.elem(c1))
+    return hits
+
+
+@st.composite
+def degree_20_inputs(draw, K, kind):
+    """Degree-20 f over K with any leading coefficient: random, or
+    a20 (L^5 + a12 L^3) + tail for L = x^4 + s2 x^2 + s3 x with random s2, s3,
+    whose cubic X^3 + s2 X + s3 may be reducible over K."""
+    elem = st.integers(0, K.order - 1)
+    a20 = draw(st.integers(1, K.order - 1))
+    if kind == "random":
+        return UniPoly(K, {e: draw(elem) for e in range(20)}) + UniPoly(K, {20: a20})
+    L = UniPoly(K, {4: 1, 2: draw(elem), 1: draw(elem)})
+    tail = UniPoly(K, {e: draw(elem) for e in (16, 8, 4, 2, 1, 0)})
+    return (L ** 5 + (L ** 3).scale(draw(elem))).scale(a20) + tail
+
+
+@pytest.mark.parametrize("kind", ["random", "l5"])
+@pytest.mark.parametrize(
+    "n, ext_modulus", [(1, None), (1, 0xd), (2, None), (3, None)], ids=["2", "2-0xd", "4", "8"]
+)
+def test_cubic_roots_match_exhaustive_search(n, ext_modulus, kind):
+    K = field_make(n)
+    tw = TowerField(K, None if ext_modulus is None else field_make(3 * n, ext_modulus))
+
+    @settings(max_examples=12 if n < 3 else 4, derandomize=True, deadline=None)
+    @given(f=degree_20_inputs(K, kind))
+    def check(f):
+        assert search_perturbations(f, tw) == _exhaustive_hits(f, tw)
+
+    check()

@@ -140,6 +140,20 @@ def test_classify_searches_family_a_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_family_a_over_gf32(capsys):
+    # the tower extension GF(2^15) has 32768 elements; only the cubic's roots are tried
+    code, out, _ = run(
+        capsys,
+        "classify", "--field", "5",
+        "--poly", "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5",
+        "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "A"
+    assert payload["tower"] == "15:0x8003"
+    assert all(payload["constraints"].values())
+
 
 def test_classify_family_a_reads_constraints_without_redividing(capsys, monkeypatch):
     def forbidden(*args):

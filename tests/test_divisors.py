@@ -98,6 +98,18 @@ def test_enumeration_shape():
     assert len(cands) == len(set(cands))
 
 
+def test_enumeration_is_every_a0_divisor_of_degree_2_to_5_below_d():
+    from itertools import product
+
+    lines = ("A0", "A1", "A2", "C1", "C2")
+    brute = set()
+    for mult in product(*(range(HYPERPLANE_DIVISOR[k] + 1) for k in lines)):
+        d = Divisor(dict(zip(lines, mult)))
+        if d["A0"] == 1 and 2 <= d.degree <= 5:
+            brute.add(d)
+    assert set(enumerate_candidates()) == brute
+
+
 def test_exactly_two_survivors():
     cases = case_analysis()
     surv = survivors(cases)

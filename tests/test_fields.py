@@ -9,8 +9,10 @@ from apn20.fields import (
     is_irreducible,
     parse_elem,
     parse_field_spec,
+    roots,
     smallest_irreducible,
 )
+from apn20.polys import UniPoly
 
 
 def brute_force_irreducible(m: int) -> bool:
@@ -310,3 +312,40 @@ def test_general_embedding_tower():
             )
     with pytest.raises(ValueError, match="embed"):
         find_embedding(field_make(3), field_make(4))
+
+
+def _eval_dense(coeffs, x, K):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = K.mul(acc, x) ^ c
+    return acc
+
+
+def test_embedding_is_the_smallest_root_of_the_base_modulus():
+    for n in range(1, 13):
+        ext = field_make(n)
+        for m in (d for d in range(1, n + 1) if n % d == 0):
+            base = field_make(m)
+            modulus = [(base.modulus >> i) & 1 for i in range(m + 1)]
+            smallest = next(x for x in range(ext.order) if _eval_dense(modulus, x, ext) == 0)
+            assert find_embedding(base, ext).beta == smallest, (m, n)
+
+
+def test_roots_match_brute_force_with_repeated_factors():
+    import random
+
+    rng = random.Random(6)
+    for n in (1, 2, 3, 4, 6, 8):
+        K = field_make(n)
+        for _ in range(20):
+            # squared linear factors and a random monic cofactor of degree 1..3
+            p = UniPoly(K, {0: rng.randrange(1, K.order)})
+            for _ in range(rng.randrange(4)):
+                p = p * UniPoly(K, {1: 1, 0: rng.randrange(K.order)}) ** 2
+            d = rng.randrange(1, 4)
+            p = p * UniPoly(K, {e: rng.randrange(K.order) for e in range(d)} | {d: 1})
+            coeffs = [p.coeff(e) for e in range(p.degree + 1)]
+            brute = [x for x in range(K.order) if _eval_dense(coeffs, x, K) == 0]
+            assert roots(coeffs, K) == brute, (n, coeffs)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        roots([0, 0], field_make(3))

@@ -200,3 +200,12 @@ def test_quintic_not_dividing_plane_product_statement():
 
 def test_sym_expr_helper():
     assert sym_expr(F2, {(1, 1, 0): 1, (0, 0, 1): 1}) == plane_product(F2)
+
+
+def test_quartic_generator_has_order_three():
+    from apn20.surface import _quartic_generator
+
+    for n in (2, 4, 6, 8, 10, 12, 16):
+        K = field_make(n)
+        alpha = _quartic_generator(K)
+        assert K.sqr(alpha) ^ alpha ^ 1 == 0, n
