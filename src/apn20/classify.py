@@ -437,9 +437,9 @@ def default_check_field(base: Field, L: UniPoly) -> Field | None:
     return None
 
 
-def _attach_delta_check(witness: CczWitness, f: UniPoly, check_field: Field | None):
+def _attach_delta_check(witness: CczWitness, f: UniPoly):
     base = f.field
-    K = check_field or default_check_field(base, witness.L)
+    K = default_check_field(base, witness.L)
     if K is None:
         return witness
     gold = UniPoly(base, {5: 1})
@@ -450,7 +450,7 @@ def _attach_delta_check(witness: CczWitness, f: UniPoly, check_field: Field | No
     return witness
 
 
-def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None):
+def ccz_witness(f: UniPoly, tower: TowerField):
     """Produce an equivalence witness to x^5, or NoWitness with the failing stage.
 
     Family B is matched first from the x^20, x^10 and x^5 coefficients;
@@ -470,7 +470,7 @@ def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None)
         if core + residual != f:
             raise AssertionError("witness reconstruction failed")
         w = CczWitness("linear_of_power", L, residual)
-        return _attach_delta_check(w, f, check_field)
+        return _attach_delta_check(w, f)
 
     # family A: f = L(x)^5 + q-affine, L from a perturbation divisor hit
     hits = search_perturbations(f, tower)
@@ -484,7 +484,7 @@ def ccz_witness(f: UniPoly, tower: TowerField, check_field: Field | None = None)
             if core + residual != f:
                 raise AssertionError("witness reconstruction failed")
             w = CczWitness("gold_compose", L, residual, c1)
-            return _attach_delta_check(w, f, check_field)
+            return _attach_delta_check(w, f)
     return NoWitness(
         "family_a_reconstruction",
         "perturbation divisors found but f is not L^5 plus a q-affine part",

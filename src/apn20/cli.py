@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import apn, classify, divisors, surface
-from .fields import Field, TowerField, parse_field_spec
+from .fields import TowerField, parse_field_spec
 from .polys import PolyParseError, format_unipoly, parse_unipoly
 
 SCHEMA = 1
@@ -62,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-field", default="1", help="field of the coefficients")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true")
+    group.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("classify", help="match the degree-20 families and witness x^5")
     p.add_argument("--field", required=True)
@@ -193,7 +194,7 @@ def _cmd_classify(args) -> int:
     f = parse_unipoly(args.poly, field)
     ext = None
     if args.tower_modulus:
-        ext = Field(3 * field.n, int(args.tower_modulus, 16))
+        ext = parse_field_spec(f"{3 * field.n}:{args.tower_modulus}")
     tower = TowerField(field, ext)
     witness = classify.ccz_witness(f, tower)
 

@@ -351,15 +351,6 @@ def parse_field_spec(s: str) -> Field:
     return Field(n, modulus)
 
 
-def parse_elem(s: str, field: Field) -> FieldElem:
-    """Parse an element literal "0xHEX"."""
-    try:
-        bits = int(s, 16)
-    except ValueError:
-        raise ValueError(f"bad element literal {s!r}")
-    return field.elem(bits)
-
-
 # -- roots and embeddings ------------------------------------------------------
 #
 # Dense polynomials over a Field are lists of coefficient bits, lowest degree
@@ -566,9 +557,6 @@ class TowerField:
     def norm_bits(self, b: int) -> int:
         f = self.frob_bits(b)
         return self.ext.mul(b, self.ext.mul(f, self.frob_bits(f)))
-
-    def is_base_bits(self, b: int) -> bool:
-        return self.frob_bits(b) == b
 
     def to_base_bits(self, b: int) -> int:
         return self.embedding.inverse_bits(b)

@@ -186,19 +186,6 @@ class UniPoly(SparsePoly):
         """True iff every exponent is 0 or a power of two."""
         return all(e == 0 or (e & (e - 1)) == 0 for e in self.terms)
 
-    def qaffine_part(self) -> "UniPoly":
-        return UniPoly(
-            self.field,
-            {e: c for e, c in self.terms.items() if e == 0 or (e & (e - 1)) == 0},
-        )
-
-    def core_part(self) -> "UniPoly":
-        """The terms whose exponents are not powers of two (and not constant)."""
-        return UniPoly(
-            self.field,
-            {e: c for e, c in self.terms.items() if e != 0 and (e & (e - 1)) != 0},
-        )
-
     def __repr__(self):
         return format_unipoly(self)
 

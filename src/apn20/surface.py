@@ -21,9 +21,9 @@ from .polys import NotDivisible, TriPoly, UniPoly, exact_div, _format, _grlex
 
 # -- field-independent building blocks ------------------------------------------
 #
-# The four-point sums, the plane product, S_d and every e1^a e2^b e3^c have
-# coefficients in GF(2).  Each is computed once over GF(2) and lifted into
-# whatever field asks by embed, which copies the terms.
+# The plane product, S_d and every e1^a e2^b e3^c have coefficients in GF(2).
+# Each is computed once over GF(2) and lifted into whatever field asks by
+# embed, which copies the terms.
 
 _GF2 = field_make(1)
 _E1 = TriPoly(_GF2, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
@@ -34,16 +34,20 @@ _PLANE = TriPoly(
 
 
 @functools.cache
-def _four_point(e: int) -> TriPoly:
-    """x^e + y^e + z^e + (x+y+z)^e over GF(2)."""
-    return TriPoly(_GF2, [((e, 0, 0), 1), ((0, e, 0), 1), ((0, 0, e), 1)]) + _E1 ** e
-
-
-@functools.cache
 def _e_monomial(exps: tuple) -> TriPoly:
     """e1^a * e2^b * e3^c over GF(2)."""
     a, b, c = exps
     return _E1 ** a * _E2 ** b * TriPoly.monomial(_GF2, (c, c, c))
+
+
+@functools.cache
+def _gf2_surface_monomial(d: int) -> TriPoly:
+    """S_d over GF(2): the one four-point division, once per exponent."""
+    num = TriPoly(_GF2, [((d, 0, 0), 1), ((0, d, 0), 1), ((0, 0, d), 1)]) + _E1 ** d
+    q = exact_div(num, _PLANE)
+    if isinstance(q, NotDivisible):
+        raise AssertionError("four-point numerator must vanish on the diagonals")
+    return q
 
 
 # -- the quotient construction ----------------------------------------------------
@@ -54,35 +58,24 @@ def plane_product(field: Field) -> TriPoly:
     return _PLANE.embed(field)
 
 
-def surface_numerator(f: UniPoly) -> TriPoly:
-    """f(x) + f(y) + f(z) + f(x+y+z) as a trivariate polynomial."""
-    out = TriPoly.zero(f.field)
-    for e, c in f.terms.items():
-        out = out + _four_point(e).embed(f.field).scale(c)
-    return out
-
-
-def surface_poly(f: UniPoly) -> TriPoly:
-    """The exact quotient of the four-point sum by the plane product."""
-    num = surface_numerator(f)
-    if not num:
-        return TriPoly.zero(f.field)
-    q = exact_div(num, plane_product(f.field))
-    if isinstance(q, NotDivisible):
-        raise AssertionError("four-point numerator must vanish on the diagonals")
-    return q
-
-
-@functools.cache
-def _gf2_surface_monomial(d: int) -> TriPoly:
-    return surface_poly(UniPoly.monomial(_GF2, d))
-
-
 def surface_monomial(d: int, field: Field) -> TriPoly:
     """The surface polynomial of x^d, computed once over GF(2) and lifted."""
     if d < 0:
         raise ValueError("negative exponent")
     return _gf2_surface_monomial(d).embed(field)
+
+
+def surface_poly(f: UniPoly) -> TriPoly:
+    """The quotient of the four-point sum of f by the plane product.
+
+    Both are linear in f, so it is the sum of a_e S_e over the terms a_e x^e
+    of f; each S_e has GF(2) coefficients, so a_e lands on every monomial of
+    S_e, and no numerator is built or divided here.
+    """
+    return TriPoly(
+        f.field,
+        ((m, c) for e, c in f.terms.items() for m in _gf2_surface_monomial(e).terms),
+    )
 
 
 # -- symmetric basis ----------------------------------------------------------------
@@ -217,8 +210,9 @@ def _id_even_degree_split(field, d=20, e=5, j=2):
 
 
 def _id_quintic_factorization(field):
-    # odd-degree fields have no element of order 3: use the quadratic extension
-    big = field if field.n % 2 == 0 else field_make(2 * field.n)
+    # odd-degree fields have no element of order 3, and S_5 has GF(2)
+    # coefficients: check the factorization in GF(4) instead
+    big = field if field.n % 2 == 0 else field_make(2)
     alpha = _quartic_generator(big)
     x = TriPoly.variable(big, "x")
     y = TriPoly.variable(big, "y")

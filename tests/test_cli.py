@@ -71,6 +71,13 @@ def test_scan_csv(capsys):
     assert len(lines) == 4
 
 
+def test_scan_json_and_csv_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "--poly", "x^3", "--n-from", "2", "--n-to", "4", "--json", "--csv"])
+    assert e.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_scan_reports_skipped_rows(capsys):
     code, out, _ = run(
         capsys,
@@ -185,6 +192,23 @@ def test_classify_explicit_tower_modulus(capsys):
     )
     assert code == 0
     assert json.loads(out)["tower"] == "3:0xd"
+
+
+def test_classify_tower_modulus_without_prefix(capsys):
+    code, out, _ = run(
+        capsys, "classify", "--field", "1", "--poly", "x^20", "--tower-modulus", "d", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["tower"] == "3:0xd"
+
+
+def test_classify_bad_tower_modulus_names_the_field_spec(capsys):
+    code, out, err = run(
+        capsys, "classify", "--field", "1", "--poly", "x^20", "--tower-modulus", "zz"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad field spec '3:zz': modulus 'zz' is not hex\n"
 
 
 def test_divisors_text(capsys):

@@ -52,13 +52,6 @@ def test_is_qaffine():
     assert UniPoly.zero(F2).is_qaffine()
 
 
-def test_qaffine_split():
-    f = parse_unipoly("x^20+x^16+x^5+x^2+1", F2)
-    assert f.qaffine_part() == parse_unipoly("x^16+x^2+1", F2)
-    assert f.core_part() == parse_unipoly("x^20+x^5", F2)
-    assert f.qaffine_part() + f.core_part() == f
-
-
 def test_is_permutation_linearized():
     L = parse_unipoly("x^4+x^2+x", F2)
     assert is_permutation(L, F32)

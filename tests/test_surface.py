@@ -3,6 +3,7 @@ import random
 import pytest
 
 from apn20.fields import field_make
+from apn20 import surface
 from apn20.polys import NotDivisible, TriPoly, UniPoly, exact_div, parse_tripoly, parse_unipoly
 from apn20.surface import (
     IDENTITY_NAMES,
@@ -14,7 +15,6 @@ from apn20.surface import (
     power_sum,
     run_identity_suite,
     surface_monomial,
-    surface_numerator,
     surface_poly,
     sym_expr,
     to_symmetric,
@@ -23,6 +23,23 @@ from apn20.surface import (
 F2 = field_make(1)
 F8 = field_make(3)
 F16 = field_make(4)
+
+
+def four_point_sum(f: UniPoly) -> TriPoly:
+    """f(x) + f(y) + f(z) + f(x+y+z), built in the field of f."""
+    x, y, z = (TriPoly.variable(f.field, v) for v in "xyz")
+    out = TriPoly.zero(f.field)
+    for e, c in f.terms.items():
+        out = out + (x ** e + y ** e + z ** e + (x + y + z) ** e).scale(c)
+    return out
+
+
+def divided_in_field(f: UniPoly) -> TriPoly:
+    """The oracle: the four-point sum divided by (x+y)(x+z)(y+z) in the field of f."""
+    x, y, z = (TriPoly.variable(f.field, v) for v in "xyz")
+    q = exact_div(four_point_sum(f), (x + y) * (x + z) * (y + z))
+    assert not isinstance(q, NotDivisible)
+    return q
 
 
 def test_cube_gives_constant_one():
@@ -60,7 +77,37 @@ def test_kernel_sampled_over_gf8():
 def test_lifted_monomial_matches_surface_in_field(spec, d):
     # S_d is computed once over GF(2) and lifted; the oracle divides in K itself
     K = field_make(*spec)
-    assert surface_monomial(d, K) == surface_poly(UniPoly.monomial(K, d))
+    assert surface_monomial(d, K) == divided_in_field(UniPoly.monomial(K, d))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(1, None), (3, None), (4, 0x19), (8, 0x11D)],
+    ids=["GF2", "GF8", "GF16:0x19", "GF256:0x11d"],
+)
+def test_surface_poly_matches_division_in_field(spec):
+    # random f up to degree 20, with constant and q-affine terms among them
+    K = field_make(*spec)
+    rng = random.Random(spec[0])
+    for _ in range(6):
+        f = UniPoly(K, {e: rng.randrange(K.order) for e in range(21)})
+        f = f + UniPoly(K, {0: rng.randrange(1, K.order), 16: rng.randrange(1, K.order)})
+        assert surface_poly(f) == divided_in_field(f), f
+
+
+def test_surface_poly_divides_nothing_once_its_monomials_are_known(monkeypatch):
+    f = parse_unipoly("x^20+0x3*x^18+x^17+0x5*x^12+x^9+0x7*x^4+x+0x2", F8)
+    expected = surface_poly(f)
+    calls = []
+
+    def counting(num, den):
+        calls.append(num.field)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(surface, "exact_div", counting)
+    assert surface_poly(f) == expected
+    assert surface_poly(f.embed(field_make(6))) == expected.embed(field_make(6))
+    assert calls == []
 
 
 def test_monomial_table_values():
@@ -75,7 +122,7 @@ def test_monomial_table_values():
 
 def test_numerator_is_plane_times_quotient():
     f = parse_unipoly("x^20+x^7+0x1", F2)
-    assert plane_product(F2) * surface_poly(f) == surface_numerator(f)
+    assert plane_product(F2) * surface_poly(f) == four_point_sum(f)
 
 
 def test_linearity():
@@ -84,8 +131,8 @@ def test_linearity():
         f = UniPoly(F8, {e: rng.randrange(8) for e in range(9)})
         g = UniPoly(F8, {e: rng.randrange(8) for e in range(9)})
         c = rng.randrange(1, 8)
-        assert surface_poly(f + g) == surface_poly(f) + surface_poly(g)
-        assert surface_poly(f.scale(c)) == surface_poly(f).scale(c)
+        assert surface_poly(f + g) == divided_in_field(f) + divided_in_field(g)
+        assert surface_poly(f.scale(c)) == divided_in_field(f).scale(c)
 
 
 def test_total_degree_drop():
@@ -156,9 +203,16 @@ def test_identity_names_complete():
     assert len(IDENTITY_NAMES) == 10
 
 
+@pytest.mark.parametrize("n", range(13, 24, 2))
+def test_identity_suite_on_large_odd_fields(n):
+    # quintic-factorization needs no GF(2^(2n)), which would pass GF(2^24)
+    for report in run_identity_suite(field_make(n)):
+        assert report.holds, (report.name, report.witness)
+
+
 def test_quintic_factorization_auto_extends_odd_degree_fields():
-    # odd-degree fields have no order-3 element; the checker lifts to the
-    # quadratic extension, here GF(2^18), which must stay fast
+    # odd-degree fields have no order-3 element; S_5 has GF(2) coefficients,
+    # so the checker factors it over GF(4) instead, which must stay fast
     import time
 
     start = time.perf_counter()
