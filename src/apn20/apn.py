@@ -22,6 +22,7 @@ subfield embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import xor
 
 from .fields import Field, FieldElem, field_make
 from .polys import UniPoly, is_permutation
@@ -48,8 +49,23 @@ class DiffReport:
 
 
 def value_table(f: UniPoly, field: Field) -> list[int]:
-    """f evaluated at every field element, indexed by element bits."""
+    """f evaluated at every field element, indexed by element bits.
+
+    With log tables, each term is read in log order (x = g^i) off exp and
+    the terms are xored there; one pass through log puts the sum in bit
+    order.  Larger fields evaluate every term at every element.
+    """
     g = f.embed(field)
+    if field.has_tables:
+        acc = None
+        for e, c in g.terms.items():
+            if acc is None:
+                acc = field.term_in_log_order(c, e)
+            else:
+                acc = list(map(xor, acc, field.term_in_log_order(c, e)))
+        if acc is None:
+            return [0] * field.order
+        return field.from_log_order(acc, g.terms.get(0, 0))
     items = sorted(g.terms.items())
     mul = field.mul
     pow_ = field.pow_

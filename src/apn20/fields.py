@@ -57,6 +57,22 @@ def _gf2_gcd(a, b):
     return a
 
 
+def _gf2_inv(a, m):
+    """a^-1 mod m for a coprime to m, by the extended Euclidean algorithm.
+
+    Invariants: a = g1 * a0 and v = g2 * a0 mod m, where a0 is the input;
+    each step cancels the top bit of the longer of a and v.
+    """
+    v, g1, g2 = m, 1, 0
+    while a != 1:
+        j = _deg(a) - _deg(v)
+        if j < 0:
+            a, v, g1, g2, j = v, a, g2, g1, -j
+        a ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
 def _prime_factors(n):
     out = []
     p = 2
@@ -262,21 +278,34 @@ class Field:
         return r
 
     def _build_tables(self):
-        q1 = self.order - 1
+        # g is the smallest primitive element; exp[i] = g^i steps by Horner
+        # over the bits of g, where each *t is a shift and at most one xor
+        # of the modulus, so no entry costs a mul_generic.  Any primitive g
+        # gives the same mul, inv and pow_.
+        q, m = self.order, self.modulus
+        q1 = q - 1
         factors = _prime_factors(q1) if q1 > 1 else []
         gen = 1
-        for cand in range(2, self.order):
+        for cand in range(2, q):
             if all(self._pow_generic(cand, q1 // p) != 1 for p in factors):
                 gen = cand
                 break
-        exp = [1] * (2 * q1 if q1 > 1 else 2)
-        log = [0] * self.order
+        bits = [gen >> j & 1 for j in range(_deg(gen) - 1, -1, -1)]
+        exp = [0] * q1
+        log = [0] * q
         cur = 1
         for i in range(q1):
             exp[i] = cur
-            exp[i + q1] = cur
             log[cur] = i
-            cur = self.mul_generic(cur, gen)
+            v = cur
+            for b in bits:
+                v <<= 1
+                if v & q:
+                    v ^= m
+                if b:
+                    v ^= cur
+            cur = v
+        exp *= 2  # exp[i + q1] = exp[i], so log sums and strided reads need no mod
         self._exp = exp
         self._log = log
 
@@ -295,7 +324,7 @@ class Field:
             raise ZeroDivisionError(f"inverse of 0 in {self}")
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        return self._pow_generic(a, self.order - 2)
+        return _gf2_inv(a, self.modulus)
 
     def pow_(self, a: int, e: int) -> int:
         if a == 0:
@@ -311,6 +340,37 @@ class Field:
             a = self.inv(a)
             e = -e
         return self._pow_generic(a, e % q1)
+
+    # -- log order: x = g^i for i in range(q - 1), tables only ---------------
+
+    @property
+    def has_tables(self) -> bool:
+        return self._exp is not None
+
+    def term_in_log_order(self, c: int, e: int) -> list[int]:
+        """c x^e at x = g^i for i in range(q - 1), g the generator of the tables.
+
+        That is exp[log c + e i], read as strided slices of the doubled exp:
+        each slice runs to its end, and the next starts again below q - 1.
+        """
+        q1 = self.order - 1
+        step = e % q1
+        if c == 0 or step == 0:
+            return [c] * q1
+        exp = self._exp
+        p = self._log[c]
+        out = []
+        while len(out) < q1:
+            chunk = exp[p : p + step * (q1 - len(out)) : step]
+            out += chunk
+            p = (p + step * len(chunk)) % q1
+        return out
+
+    def from_log_order(self, vals: list[int], at_zero: int) -> list[int]:
+        """The table indexed by element bits: vals[i] at x = g^i, at_zero at 0."""
+        out = list(map(vals.__getitem__, self._log))
+        out[0] = at_zero
+        return out
 
     # -- element-level helpers -----------------------------------------------
 

@@ -109,6 +109,7 @@ def test_scan_skips_unembeddable_degrees():
 def test_value_table_embeds_coefficients():
     vt = value_table(X3, F8)
     assert vt == [F8.pow_(x, 3) for x in range(8)]
+    assert value_table(UniPoly(F2, {}), F8) == [0] * 8
 
 
 def test_cap_enforced():
@@ -205,6 +206,36 @@ def test_fast_paths_match_brute_force(n, kind):
         )
 
     check()
+
+
+@st.composite
+def wide_exponent_polys(draw, n):
+    """A polynomial over a random subfield of GF(2^n) with exponents up to 3q,
+    drawn so that constant terms, e >= q - 1 and multiples of q - 1 occur."""
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    B = field_make(m)
+    q1 = (1 << n) - 1
+    exp = st.one_of(st.integers(0, 3 * q1 + 3), st.sampled_from([0, q1, 2 * q1, 3 * q1]))
+    exps = draw(st.lists(exp, min_size=1, max_size=6, unique=True))
+    return UniPoly(B, {e: draw(st.integers(1, B.order - 1)) for e in exps})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_value_table_matches_pointwise_evaluation(n):
+    K = field_make(n)
+    q1 = K.order - 1
+    seen = set()
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(f=wide_exponent_polys(n))
+    def check(f):
+        g = f.embed(K)
+        assert value_table(f, K) == [g.eval_bits(x) for x in range(K.order)]
+        seen.update(e == 0 or (e >= q1, e % q1 == 0) for e in f.terms)
+
+    check()
+    # every e is a multiple of q - 1 = 1 when n = 1
+    assert {True, (True, True), (True, n == 1)} <= seen
 
 
 @pytest.mark.parametrize("n", range(1, 11))

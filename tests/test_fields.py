@@ -106,20 +106,67 @@ def test_pow_matches_repeated_multiplication():
             acc = F.mul(acc, a)
 
 
+# irreducible moduli for which t is not primitive (t has order 5, 9 and 51),
+# so the generator of the tables is not t
+NON_PRIMITIVE_MODULI = [(4, 0x1F), (6, 0x49), (8, 0x11B)]
+TABLE_MODULI = [(n, None) for n in range(1, 17)] + NON_PRIMITIVE_MODULI
+
+
 def test_table_path_matches_generic_path():
-    F = field_make(6)
-    assert F._exp is not None
-    for a in range(F.order):
-        for b in range(F.order):
-            assert F.mul(a, b) == F.mul_generic(a, b)
+    import random
+
+    for n, modulus in TABLE_MODULI:
+        F = Field(n, modulus)
+        q1 = F.order - 1
+        assert F.has_tables and len(F._exp) == 2 * q1
+        assert sorted(F._exp[:q1]) == list(range(1, F.order)), F.spec()
+        assert all(F._log[F._exp[i]] == i for i in range(q1)), F.spec()
+        assert F._exp[q1:] == F._exp[:q1]
+        if n <= 8:
+            pairs = [(a, b) for a in range(F.order) for b in range(F.order)]
+        else:
+            rng = random.Random(n)
+            pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+        for a, b in pairs:
+            assert F.mul(a, b) == F.mul_generic(a, b), (F.spec(), a, b)
+
+
+def test_table_generator_is_not_t_for_non_primitive_moduli():
+    for n, modulus in NON_PRIMITIVE_MODULI:
+        F = Field(n, modulus)
+        assert any(F._pow_generic(0b10, k) == 1 for k in range(1, F.order - 1))
+        assert F._exp[1] != 0b10
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_generic_inverse_matches_fermat(n):
+    import random
+
+    F = Field(n)
+    assert not F.has_tables
+    rng = random.Random(n)
+    for a in [1, 0b10, F.order - 1] + [rng.randrange(1, F.order) for _ in range(30)]:
+        inv = F.inv(a)
+        assert inv == F._pow_generic(a, F.order - 2), a
+        assert F.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 def test_generic_only_field_agrees_with_table_field():
-    # degree above the table threshold forces the generic path
+    # GF(2^8) has tables and GF(2^24) does not: the embedding is a
+    # homomorphism only if both paths compute the same field
+    import random
+
     small = field_make(8)
-    big = Field(17)
-    assert big._exp is None
-    assert small._exp is not None
+    big = Field(24)
+    assert small.has_tables and not big.has_tables
+    emb = find_embedding(small, big).map_bits
+    rng = random.Random(24)
+    for _ in range(300):
+        a, b = rng.randrange(1, small.order), rng.randrange(small.order)
+        assert emb(small.mul(a, b)) == big.mul(emb(a), emb(b))
+        assert emb(small.inv(a)) == big.inv(emb(a))
 
 
 def test_elem_operators():
