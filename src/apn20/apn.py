@@ -22,10 +22,9 @@ subfield embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import xor
 
 from .fields import Field, FieldElem, field_make
-from .polys import UniPoly, is_permutation
+from .polys import UniPoly, is_permutation, value_table
 
 DDT_CAP = 1 << 20
 FULL_DDT_CAP = 1 << 10
@@ -46,36 +45,6 @@ class DiffReport:
     worst_a: FieldElem
     worst_b: FieldElem
     ddt: list | None = dc_field(default=None, repr=False)
-
-
-def value_table(f: UniPoly, field: Field) -> list[int]:
-    """f evaluated at every field element, indexed by element bits.
-
-    With log tables, each term is read in log order (x = g^i) off exp and
-    the terms are xored there; one pass through log puts the sum in bit
-    order.  Larger fields evaluate every term at every element.
-    """
-    g = f.embed(field)
-    if field.has_tables:
-        acc = None
-        for e, c in g.terms.items():
-            if acc is None:
-                acc = field.term_in_log_order(c, e)
-            else:
-                acc = list(map(xor, acc, field.term_in_log_order(c, e)))
-        if acc is None:
-            return [0] * field.order
-        return field.from_log_order(acc, g.terms.get(0, 0))
-    items = sorted(g.terms.items())
-    mul = field.mul
-    pow_ = field.pow_
-    out = [0] * field.order
-    for x in range(field.order):
-        acc = 0
-        for e, c in items:
-            acc ^= mul(c, pow_(x, e))
-        out[x] = acc
-    return out
 
 
 def diff_count(f: UniPoly, a: FieldElem, b: FieldElem) -> int:

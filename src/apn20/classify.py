@@ -19,7 +19,7 @@ witnesses to x^5 are produced and re-verified.
 
 Family A is solved, not searched: c and its conjugates are the roots of
 X^3 + (a18/a20) X + a17/a20, read off the coefficients of f, so only those
-roots in GF(q^3) are tried, each accepted by exact division.
+roots in GF(q^3) are tried, one exact division per Frobenius orbit.
 """
 
 from __future__ import annotations
@@ -271,9 +271,12 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
 
     A family-A f has a18 = a20 q1(c1) and a17 = a20 N(c1) with Tr(c1) = 0,
     so c1 and its conjugates are the roots of X^3 + (a18/a20) X + a17/a20.
-    Only the distinct roots of that cubic in the tower extension are tried;
-    each is accepted by exact division and checked against the trace-zero
-    necessary condition.  The result is sorted by bits.
+    Only the distinct roots of that cubic in the tower extension are tried.
+    The cubic has base-field coefficients, so its roots fall into Frobenius
+    orbits of size 1 or 3, and the members of one orbit share one conjugate
+    product: each orbit is decided by one exact division, and every hit is
+    checked against the trace-zero necessary condition.  The result is
+    sorted by bits.
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
@@ -283,16 +286,24 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
     cubic = [base.mul(inv20, f.coeff(17)), base.mul(inv20, f.coeff(18)), 0, 1]
     phi = surface_poly(f)
     hits = []
+    tried = set()
     for c1_bits in roots([tower.embed_bits(c) for c in cubic], tower.ext):
+        if c1_bits in tried:
+            continue
+        c2_bits = tower.frob_bits(c1_bits)
+        orbit = {c1_bits, c2_bits, tower.frob_bits(c2_bits)}
+        tried |= orbit
         qp = QuadraticPerturbation.canonical(tower, c1_bits)
         q = exact_div(phi, _conjugate_product_base(qp))
-        if not isinstance(q, NotDivisible):
-            if tower.trace_bits(c1_bits) != 0:
+        if isinstance(q, NotDivisible):
+            continue
+        for c in orbit:
+            if tower.trace_bits(c) != 0:
                 raise AssertionError(
-                    f"divisor hit c1 = 0x{c1_bits:x} violates the trace-zero condition"
+                    f"divisor hit c1 = 0x{c:x} violates the trace-zero condition"
                 )
-            hits.append(tower.ext.elem(c1_bits))
-    return hits
+            hits.append(c)
+    return [tower.ext.elem(c) for c in sorted(hits)]
 
 
 # -- quotient slice ledger ------------------------------------------------------------

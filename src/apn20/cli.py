@@ -157,6 +157,8 @@ def _scan_row_payload(row: apn.ScanRow) -> dict:
 
 
 def _cmd_scan(args) -> int:
+    if args.n_from > args.n_to:
+        raise ValueError(f"empty range: --n-from {args.n_from} is above --n-to {args.n_to}")
     base = parse_field_spec(args.base_field)
     f = parse_unipoly(args.poly, base)
     rows = apn.apn_scan(f, range(args.n_from, args.n_to + 1))

@@ -11,7 +11,9 @@ the offending remainder.
 
 from __future__ import annotations
 
+import heapq
 import re
+from operator import xor
 
 from .fields import Field, FieldElem, find_embedding
 
@@ -190,10 +192,46 @@ class UniPoly(SparsePoly):
         return format_unipoly(self)
 
 
+def value_table(f: UniPoly, field: Field) -> list[int]:
+    """f evaluated at every field element, indexed by element bits.
+
+    With log tables, each term is read in log order (x = g^i) off exp and
+    the terms are xored there; one pass through log puts the sum in bit
+    order.  Larger fields evaluate every term at every element.
+    """
+    g = f.embed(field)
+    if field.has_tables:
+        acc = None
+        for e, c in g.terms.items():
+            if acc is None:
+                acc = field.term_in_log_order(c, e)
+            else:
+                acc = list(map(xor, acc, field.term_in_log_order(c, e)))
+        if acc is None:
+            return [0] * field.order
+        return field.from_log_order(acc, g.terms.get(0, 0))
+    items = sorted(g.terms.items())
+    mul = field.mul
+    pow_ = field.pow_
+    out = [0] * field.order
+    for x in range(field.order):
+        acc = 0
+        for e, c in items:
+            acc ^= mul(c, pow_(x, e))
+        out[x] = acc
+    return out
+
+
 def is_permutation(f: UniPoly, field: Field) -> bool:
-    """Exhaustively decide whether x -> f(x) permutes the field."""
+    """Exhaustively decide whether x -> f(x) permutes the field.
+
+    Fields with log tables test the value table for distinct values; larger
+    ones evaluate pointwise and stop at the first repeated value.
+    """
     if field.order > PERMUTATION_CAP:
         raise ValueError(f"{field} is above the exhaustive permutation cap 2^24")
+    if field.has_tables:
+        return len(set(value_table(f, field))) == field.order
     g = f.embed(field)
     seen = bytearray(field.order)
     for x in range(field.order):
@@ -280,6 +318,13 @@ class NotDivisible:
 def exact_div(num: TriPoly, den: TriPoly):
     """num / den under graded lex reduction; TriPoly on success, else NotDivisible.
 
+    Monomials are packed into ints with the total degree on top, so grlex
+    order is int order and a product of monomials is a sum of keys.  The
+    remainder is a dict from key to coefficient, and its leading key comes
+    off a max-heap holding every key that has entered it; keys that have
+    since cancelled are skipped when popped.  No remainder monomial has a
+    larger total degree than num, so B bits, enough for the largest total
+    degree in num and den, hold every exponent: there is no exponent cap.
     A successful quotient is re-verified by multiplication.
     """
     if not den.terms:
@@ -287,25 +332,48 @@ def exact_div(num: TriPoly, den: TriPoly):
     _check_same_field(num, den)
     field = num.field
     mul = field.mul
+    B = max(i + j + k for i, j, k in (*num.terms, *den.terms)).bit_length()
+    mask = (1 << B) - 1
+
+    def pack(m):
+        i, j, k = m
+        return (i + j + k) << 3 * B | i << 2 * B | j << B | k
+
     dl = den.leading_monomial()
+    di, dj, dk = dl
+    dkey = pack(dl)
     dinv = field.inv(den.terms[dl])
-    r = dict(num.terms)
+    tail = [(pack(m) - dkey, c) for m, c in den.terms.items() if m != dl]
+    r = {pack(m): c for m, c in num.terms.items()}
+    heap = [-key for key in r]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     q = {}
-    while r:
-        rl = max(r, key=_grlex)
-        mi, mj, mk = rl[0] - dl[0], rl[1] - dl[1], rl[2] - dl[2]
-        if mi < 0 or mj < 0 or mk < 0:
-            return NotDivisible(rl)
-        c = mul(r[rl], dinv)
-        q[(mi, mj, mk)] = c
-        for (di, dj, dk), dc in den.terms.items():
-            m = (mi + di, mj + dj, mk + dk)
-            v = r.get(m, 0) ^ mul(c, dc)
-            if v:
-                r[m] = v
+    while heap:
+        key = -pop(heap)
+        rc = r.pop(key, 0)
+        if not rc:
+            continue
+        i, j, k = key >> 2 * B & mask, key >> B & mask, key & mask
+        if i < di or j < dj or k < dk:
+            return NotDivisible((i, j, k))
+        c = mul(rc, dinv)
+        q[key - dkey] = c
+        for offset, dc in tail:
+            m = key + offset
+            v = r.get(m)
+            if v is None:
+                r[m] = mul(c, dc)
+                push(heap, -m)
             else:
-                r.pop(m, None)
-    quotient = TriPoly(field, q)
+                v ^= mul(c, dc)
+                if v:
+                    r[m] = v
+                else:
+                    del r[m]
+    quotient = TriPoly(
+        field, {(m >> 2 * B & mask, m >> B & mask, m & mask): c for m, c in q.items()}
+    )
     if quotient * den != num:
         raise AssertionError("exact division verification failed")
     return quotient

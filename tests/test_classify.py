@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apn20 import classify
 from apn20.apn import differential_uniformity
 from apn20.classify import (
     CczWitness,
@@ -8,6 +11,7 @@ from apn20.classify import (
     FamilyBParams,
     NoWitness,
     QuadraticPerturbation,
+    _conjugate_product_base,
     build_family_a,
     build_family_b,
     ccz_witness,
@@ -209,6 +213,35 @@ def test_search_recovers_galois_orbit():
     assert all(TW.trace_bits(b) == 0 for b in hits)
     # hits are closed under the Galois action
     assert {TW.frob_bits(b) for b in hits} == hits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugate_product_is_constant_on_frobenius_orbits(n):
+    tw = TowerField(field_make(n))
+    rng = random.Random(n)
+    for c1 in rng.sample(range(tw.ext.order), min(tw.ext.order, 24)):
+        c2 = tw.frob_bits(c1)
+        c3 = tw.frob_bits(c2)
+        first = _conjugate_product_base(QuadraticPerturbation.canonical(tw, c1))
+        for c in (c2, c3):
+            assert _conjugate_product_base(QuadraticPerturbation.canonical(tw, c)) == first
+
+
+def test_search_divides_once_per_frobenius_orbit(monkeypatch):
+    calls = []
+
+    def counting(num, den):
+        calls.append(den)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(classify, "exact_div", counting)
+    f, _ = build_family_a(fam_a(G.bits))
+    hits = search_perturbations(f, TW)
+    # G, G^2, G^4 are the three roots of the cubic and one orbit
+    assert [e.bits for e in hits] == sorted(
+        {G.bits, TW.frob_bits(G.bits), TW.frob_bits(TW.frob_bits(G.bits))}
+    )
+    assert len(calls) == 1
 
 
 def test_search_on_pure_power():

@@ -78,6 +78,21 @@ def test_scan_json_and_csv_are_exclusive(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
+def test_scan_empty_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "scan", "--poly", "x^3", "--n-from", "5", "--n-to", "2")
+    assert code == 2
+    assert out == ""
+    assert "--n-from 5" in err and "--n-to 2" in err
+
+
+def test_scan_single_degree_range(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--poly", "x^3", "--n-from", "5", "--n-to", "5", "--json"
+    )
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["rows"]] == [5]
+
+
 def test_scan_reports_skipped_rows(capsys):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +80,32 @@ def test_linearized_permutation_iff_no_nonzero_root():
                 assert is_permutation(f, F8) == (not has_root)
 
 
+def test_is_permutation_matches_pointwise_oracle():
+    # table fields decide through the value table; the oracle evaluates
+    rng = random.Random(20)
+    seen = set()
+    for n in range(1, 9):
+        K = field_make(n)
+        for _ in range(12):
+            exps = [1 << i for i in range(n)] if rng.random() < 0.5 else range(3 * K.order)
+            f = UniPoly(K, {e: rng.randrange(K.order) for e in rng.sample(exps, min(3, len(exps)))})
+            f = f + UniPoly(K, {0: rng.randrange(K.order)})
+            want = len({f.eval_bits(x) for x in range(K.order)}) == K.order
+            assert is_permutation(f, K) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_permutation_without_tables():
+    K = field_make(17)
+    assert not K.has_tables
+    assert is_permutation(parse_unipoly("x^2", F2), K)
+    # x^4 + x vanishes at 0 and 1: the loop stops at x = 1
+    assert not is_permutation(parse_unipoly("x^4+x", F2), K)
+    # 3 divides 2^18 - 1, so cubing is not injective on GF(2^18)
+    assert not is_permutation(parse_unipoly("x^3", F2), field_make(18))
+
+
 def test_tri_basics():
     x = TriPoly.variable(F2, "x")
     y = TriPoly.variable(F2, "y")
@@ -112,12 +140,81 @@ def tri_polys(field, max_exp=3, max_terms=5):
     )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(a=tri_polys(F8), b=tri_polys(F8))
-def test_exact_div_round_trip(a, b):
-    if not b:
-        return
-    assert exact_div(a * b, b) == a
+def reference_div(num, den):
+    """Oracle: grlex reduction that scans the whole remainder for its leader."""
+    field = num.field
+    mul = field.mul
+    key = lambda m: (m[0] + m[1] + m[2], m[0], m[1])
+    dl = max(den.terms, key=key)
+    dinv = field.inv(den.terms[dl])
+    r = dict(num.terms)
+    q = {}
+    while r:
+        rl = max(r, key=key)
+        mi, mj, mk = rl[0] - dl[0], rl[1] - dl[1], rl[2] - dl[2]
+        if mi < 0 or mj < 0 or mk < 0:
+            return NotDivisible(rl)
+        c = mul(r[rl], dinv)
+        q[(mi, mj, mk)] = c
+        for (di, dj, dk), dc in den.terms.items():
+            m = (mi + di, mj + dj, mk + dk)
+            v = r.get(m, 0) ^ mul(c, dc)
+            if v:
+                r[m] = v
+            else:
+                r.pop(m, None)
+    return TriPoly(field, q)
+
+
+def check_against_reference(field):
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        a=tri_polys(field, max_exp=30),
+        b=tri_polys(field, max_exp=30),
+        r=st.one_of(st.just(TriPoly.zero(field)), tri_polys(field, max_exp=30, max_terms=3)),
+    )
+    def check(a, b, r):
+        if not b:
+            return
+        num = a * b + r
+        got, want = exact_div(num, b), reference_div(num, b)
+        if isinstance(want, NotDivisible):
+            assert isinstance(got, NotDivisible)
+            assert got.leading_monomial == want.leading_monomial
+        else:
+            assert got == want
+        if not r:
+            assert got == a
+
+    check()
+
+
+def test_exact_div_round_trip():
+    # a*b and a*b + r, exponents up to 30, on table fields and a generic one
+    generic = field_make(18)
+    assert not generic.has_tables
+    for field in (F2, F8, field_make(8), generic):
+        check_against_reference(field)
+
+
+def test_exact_div_remainder_exponents_exceed_the_inputs():
+    # x*y = y*(x+y) + y^2: the remainder holds y^2, an exponent above any in
+    # num and den, so packing must be sized by total degree
+    res = exact_div(parse_tripoly("x*y", F2), parse_tripoly("x+y", F2))
+    assert isinstance(res, NotDivisible)
+    assert res.leading_monomial == (0, 2, 0)
+
+
+def test_exact_div_exponents_beyond_16_bits():
+    # exponents above 2^16 would overflow a fixed 16-bit packing
+    e = (1 << 16) + 3
+    num = TriPoly.monomial(F8, (e, 1, 0), 5)
+    den = TriPoly.monomial(F8, (1, 1, 0))
+    assert exact_div(num, den) == TriPoly.monomial(F8, (e - 1, 0, 0), 5)
+    odd = num + TriPoly.monomial(F8, (0, 0, 1 << 16))
+    res = exact_div(odd, den)
+    assert isinstance(res, NotDivisible)
+    assert res.leading_monomial == (0, 0, 1 << 16)
 
 
 def uni_polys(field, max_exp=6, max_terms=4):
