@@ -14,7 +14,7 @@ from .classify import (
     verify_family_a_quotient,
 )
 from .divisors import Divisor, case_analysis, galois_images, s3_images
-from .fields import Field, FieldElem, TowerField, field_make, find_embedding
+from .fields import Field, TowerField, find_embedding
 from .polys import (
     TriPoly,
     UniPoly,
@@ -35,9 +35,7 @@ from .surface import (
 
 __all__ = [
     "Field",
-    "FieldElem",
     "TowerField",
-    "field_make",
     "find_embedding",
     "UniPoly",
     "TriPoly",

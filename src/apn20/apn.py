@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, FieldElem, field_make
+from .fields import Field
 from .polys import UniPoly, is_permutation, value_table
 
 DDT_CAP = 1 << 20
@@ -42,23 +42,21 @@ class DiffReport:
     f: UniPoly
     delta: int
     is_apn: bool
-    worst_a: FieldElem
-    worst_b: FieldElem
+    worst_a: int
+    worst_b: int
     ddt: list | None = dc_field(default=None, repr=False)
 
 
-def diff_count(f: UniPoly, a: FieldElem, b: FieldElem) -> int:
-    """Number of x with f(x+a) + f(x) = b, by exhaustive evaluation."""
-    if a.field != b.field:
-        raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-    if not a.bits:
+def diff_count(f: UniPoly, K: Field, a: int, b: int) -> int:
+    """Number of x in K with f(x+a) + f(x) = b, by exhaustive evaluation."""
+    K.check(a, "a")
+    K.check(b, "b")
+    if not a:
         raise ValueError("difference direction a must be nonzero")
-    K = a.field
     if K.order > DDT_CAP:
         raise CapExceeded(f"{K} is above the differential cap 2^20")
     vt = value_table(f, K)
-    ab, bb = a.bits, b.bits
-    return sum(1 for x in range(K.order) if vt[x ^ ab] ^ vt[x] == bb)
+    return sum(1 for x in range(K.order) if vt[x ^ a] ^ vt[x] == b)
 
 
 def _row_counts(vt: list[int], a: int) -> list[int]:
@@ -164,9 +162,7 @@ def differential_uniformity(f: UniPoly, field: Field, keep_ddt: bool = False) ->
                 delta, worst_a, worst_b = row_max, a, counts.index(row_max)
             if rows is not None:
                 rows.append(counts)
-        return DiffReport(
-            field, f, delta, delta <= 2, field.elem(worst_a), field.elem(worst_b), rows
-        )
+        return DiffReport(field, f, delta, delta <= 2, worst_a, worst_b, rows)
     if path == "monomial":
         worst_a, expected = 1, None
     else:
@@ -179,9 +175,7 @@ def differential_uniformity(f: UniPoly, field: Field, keep_ddt: bool = False) ->
             f"over {field}, derivative rank gives delta {expected} "
             f"but row a=0x{worst_a:x} peaks at {delta}"
         )
-    return DiffReport(
-        field, f, delta, delta <= 2, field.elem(worst_a), field.elem(counts.index(delta))
-    )
+    return DiffReport(field, f, delta, delta <= 2, worst_a, counts.index(delta))
 
 
 @dataclass
@@ -189,8 +183,8 @@ class ScanRow:
     n: int
     delta: int | None
     is_apn: bool | None
-    worst_a: FieldElem | None
-    worst_b: FieldElem | None
+    worst_a: int | None
+    worst_b: int | None
     skipped: bool = False
     reason: str | None = None
 
@@ -205,7 +199,7 @@ def apn_scan(f_template: UniPoly, n_range) -> list[ScanRow]:
                 ScanRow(n, None, None, None, None, True, f"no embedding of GF(2^{base_n}) in GF(2^{n})")
             )
             continue
-        K = field_make(n)
+        K = Field(n)
         rep = differential_uniformity(f_template, K)
         rows.append(ScanRow(n, rep.delta, rep.is_apn, rep.worst_a, rep.worst_b))
     return rows

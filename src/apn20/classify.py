@@ -3,12 +3,18 @@
 Two constructions cover every degree-20 function that stays APN over
 infinitely many extensions, and both are CCZ-equivalent to x^5:
 
-  family A: f = L(x)^3 (L(x)^2 + a) + (q-affine tail), where
+  family A: f = L(x)^5 + (q-affine tail), where
             L(x) = x (x+c)(x+c^q)(x+c^{q^2}) for a trace-zero c in the
-            cubic extension; for a = 0 this is x^5 composed with the
-            linearized permutation L.
+            cubic extension: x^5 composed with the linearized L.
   family B: f = a20 x^20 + a10 x^10 + a5 x^5 + (q-affine tail), which
             is L(x^5) for L = a20 x^4 + a10 x^2 + a5 x.
+
+`build_family_a` builds L(x)^3 (L(x)^2 + a12) + tail, and family-A members
+have a12 = 0.  With a12 != 0 the same conjugate product still divides the
+surface, so that f passes the divisor test but is no member: for c in
+GF(8) with minimal polynomial t^3 + t + 1 and a12 = 1 it is
+x^20+x^18+x^17+x^6+x^4+x^3, whose differential uniformity is 4, 4 and 512
+on GF(2^5), GF(2^7) and GF(2^9), so it is not CCZ-equivalent to x^5.
 
 The divisibility side: family A means the plane product perturbed by a
 symmetric quadratic divides the surface polynomial (together with its two
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apn import differential_uniformity
-from .fields import Field, FieldElem, TowerField, field_make, roots
+from .fields import Field, TowerField, roots
 from .polys import (
     NotDivisible,
     TriPoly,
@@ -45,21 +51,22 @@ CHECK_FIELD_CAP = 1 << 12
 
 @dataclass(frozen=True)
 class FamilyAParams:
-    """Parameters of f = L(x)^3 (L(x)^2 + a12) + tail over tower.base."""
+    """Parameters of f = L(x)^3 (L(x)^2 + a12) + tail over tower.base, with
+    c1 in tower.ext and a12 in tower.base.  Family-A members have a12 = 0;
+    a12 != 0 gives a divisor-compatible non-member (see the module docstring).
+    """
 
     tower: TowerField
-    c1: FieldElem
-    a12: FieldElem
+    c1: int
+    a12: int
     tail: UniPoly
 
     def __post_init__(self):
         tw = self.tower
-        if self.c1.field != tw.ext:
-            raise ValueError(f"c1 must lie in {tw.ext}")
-        if tw.trace_bits(self.c1.bits) != 0:
-            raise ValueError(f"c1 = {self.c1!r} has nonzero trace in the tower")
-        if self.a12.field != tw.base:
-            raise ValueError(f"a12 must lie in {tw.base}")
+        tw.ext.check(self.c1, "c1")
+        if tw.trace_bits(self.c1) != 0:
+            raise ValueError(f"c1 = 0x{self.c1:x} has nonzero trace in the tower")
+        tw.base.check(self.a12, "a12")
         if self.tail.field != tw.base or not self.tail.is_qaffine():
             raise ValueError("tail must be a q-affine polynomial over the base field")
 
@@ -69,14 +76,13 @@ class FamilyBParams:
     """Parameters of f = x^20 + a10 x^10 + a5 x^5 + tail."""
 
     field: Field
-    a10: FieldElem
-    a5: FieldElem
+    a10: int
+    a5: int
     tail: UniPoly
 
     def __post_init__(self):
-        for name in ("a10", "a5"):
-            if getattr(self, name).field != self.field:
-                raise ValueError(f"{name} must lie in {self.field}")
+        self.field.check(self.a10, "a10")
+        self.field.check(self.a5, "a5")
         if self.tail.field != self.field or not self.tail.is_qaffine():
             raise ValueError("tail must be a q-affine polynomial over the field")
 
@@ -86,63 +92,49 @@ class QuadraticPerturbation:
     """The symmetric quadratic c1 (x^2+y^2+z^2) + c4 (xy+xz+yz) + b1 (x+y+z) + d."""
 
     tower: TowerField
-    c1: FieldElem
-    c4: FieldElem
-    b1: FieldElem
-    d: FieldElem
+    c1: int
+    c4: int
+    b1: int
+    d: int
 
     def __post_init__(self):
         for name in ("c1", "c4", "b1", "d"):
-            if getattr(self, name).field != self.tower.ext:
-                raise ValueError(f"{name} must lie in {self.tower.ext}")
+            self.tower.ext.check(getattr(self, name), name)
 
     @classmethod
-    def canonical(cls, tower: TowerField, c1_bits: int) -> "QuadraticPerturbation":
+    def canonical(cls, tower: TowerField, c1: int) -> "QuadraticPerturbation":
         """The solved shape c4 = c1, b1 = 0, d = c1^3."""
-        ext = tower.ext
-        return cls(
-            tower,
-            ext.elem(c1_bits),
-            ext.elem(c1_bits),
-            ext.zero,
-            ext.elem(ext.pow_(c1_bits, 3)),
-        )
+        return cls(tower, c1, c1, 0, tower.ext.pow_(c1, 3))
 
 
 # -- construction ----------------------------------------------------------------
 
 
-def linearized_from_conjugates(tower: TowerField, c1: FieldElem) -> UniPoly:
+def linearized_from_conjugates(tower: TowerField, c1: int) -> UniPoly:
     """L(x) = x (x+c1)(x+c1^q)(x+c1^{q^2}) pulled back to the base field.
 
-    Requires trace-zero c1 so the cubic coefficient vanishes and the rest
-    are Galois stable.
+    Requires c1 in tower.ext of trace zero, so the cubic coefficient
+    vanishes and the rest are Galois stable.
     """
-    if c1.field != tower.ext:
-        raise ValueError(f"c1 must lie in {tower.ext}")
-    tr = tower.trace_bits(c1.bits)
-    if tr != 0:
-        raise ValueError(f"c1 = {c1!r} has nonzero trace; L would leave the base field")
-    q1 = tower.q1_bits(c1.bits)
-    nrm = tower.norm_bits(c1.bits)
-    base = tower.base
-    return UniPoly(
-        base,
-        {4: 1, 2: tower.to_base_bits(q1), 1: tower.to_base_bits(nrm)},
-    )
+    tower.ext.check(c1, "c1")
+    if tower.trace_bits(c1) != 0:
+        raise ValueError(f"c1 = 0x{c1:x} has nonzero trace; L would leave the base field")
+    q1 = tower.to_base_bits(tower.q1_bits(c1))
+    nrm = tower.to_base_bits(tower.norm_bits(c1))
+    return UniPoly(tower.base, {4: 1, 2: q1, 1: nrm})
 
 
 def build_family_a(p: FamilyAParams) -> tuple[UniPoly, UniPoly]:
     """The degree-20 polynomial of family A, together with its L."""
     L = linearized_from_conjugates(p.tower, p.c1)
-    a12 = UniPoly(p.tower.base, {0: p.a12.bits})
+    a12 = UniPoly.constant(p.tower.base, p.a12)
     f = (L ** 3) * (L ** 2 + a12) + p.tail
     return f, L
 
 
 def build_family_b(p: FamilyBParams) -> UniPoly:
     """The degree-20 polynomial x^20 + a10 x^10 + a5 x^5 + tail."""
-    f = UniPoly(p.field, {20: 1, 10: p.a10.bits, 5: p.a5.bits})
+    f = UniPoly(p.field, {20: 1, 10: p.a10, 5: p.a5})
     return f + p.tail
 
 
@@ -151,12 +143,12 @@ def perturbed_plane(qp: QuadraticPerturbation) -> TriPoly:
     ext = qp.tower.ext
     terms = {}
     for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
-        terms[m] = qp.c1.bits
+        terms[m] = qp.c1
     for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
-        terms[m] = qp.c4.bits
+        terms[m] = qp.c4
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        terms[m] = qp.b1.bits
-    terms[(0, 0, 0)] = qp.d.bits
+        terms[m] = qp.b1
+    terms[(0, 0, 0)] = qp.d
     return plane_product(ext) + TriPoly(ext, terms)
 
 
@@ -199,7 +191,7 @@ def constraints_for(qp: QuadraticPerturbation) -> dict[str, bool]:
     """The family-A parameter relations, evaluated at the perturbation qp."""
     tw = qp.tower
     ext = tw.ext
-    c1, c4, b1, d = qp.c1.bits, qp.c4.bits, qp.b1.bits, qp.d.bits
+    c1, c4, b1, d = qp.c1, qp.c4, qp.b1, qp.d
     q1c1 = tw.q1_bits(c1)
     nc1 = tw.norm_bits(c1)
     return {
@@ -236,8 +228,8 @@ class FamilyBReport:
     divides: bool
     factorization_ok: bool
     quotient: TriPoly | None
-    a10: FieldElem
-    a5: FieldElem
+    a10: int
+    a5: int
 
 
 def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
@@ -250,8 +242,8 @@ def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
     K = f.field
     a20 = f.coeff(20)
-    a10 = f.coeff_elem(10)
-    a5 = f.coeff_elem(5)
+    a10 = f.coeff(10)
+    a5 = f.coeff(5)
     phi = surface_poly(f)
     s5 = surface_monomial(5, K)
     q = exact_div(phi, s5)
@@ -260,13 +252,13 @@ def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
     A = plane_product(K)
     expected = (
         ((A ** 3) * (s5 ** 3)).scale(a20)
-        + (A * s5).scale(a10.bits)
-        + TriPoly.constant(K, a5.bits)
+        + (A * s5).scale(a10)
+        + TriPoly.constant(K, a5)
     )
     return FamilyBReport(True, q == expected, q, a10, a5)
 
 
-def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
+def search_perturbations(f: UniPoly, tower: TowerField) -> list[int]:
     """All c1 whose canonical perturbation divisor divides the surface of f.
 
     A family-A f has a18 = a20 q1(c1) and a17 = a20 N(c1) with Tr(c1) = 0,
@@ -276,7 +268,7 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
     orbits of size 1 or 3, and the members of one orbit share one conjugate
     product: each orbit is decided by one exact division, and every hit is
     checked against the trace-zero necessary condition.  The result is
-    sorted by bits.
+    sorted.
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
@@ -303,7 +295,7 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[FieldElem]:
                     f"divisor hit c1 = 0x{c:x} violates the trace-zero condition"
                 )
             hits.append(c)
-    return [tower.ext.elem(c) for c in sorted(hits)]
+    return sorted(hits)
 
 
 # -- quotient slice ledger ------------------------------------------------------------
@@ -348,7 +340,7 @@ def verify_family_a_quotient(p: FamilyAParams) -> FamilyAQuotientReport:
     tw = p.tower
     base = tw.base
     f, L = build_family_a(p)
-    qp = QuadraticPerturbation.canonical(tw, p.c1.bits)
+    qp = QuadraticPerturbation.canonical(tw, p.c1)
     phi = surface_poly(f)
     prod = _conjugate_product_base(qp)
     q = exact_div(phi, prod)
@@ -358,9 +350,9 @@ def verify_family_a_quotient(p: FamilyAParams) -> FamilyAQuotientReport:
     a18 = f.coeff(18)
     a17 = f.coeff(17)
     a12 = f.coeff(12)
-    if a18 != tw.to_base_bits(tw.q1_bits(p.c1.bits)):
+    if a18 != tw.to_base_bits(tw.q1_bits(p.c1)):
         raise AssertionError("x^18 coefficient must equal q1(c1)")
-    if a17 != tw.to_base_bits(tw.norm_bits(p.c1.bits)):
+    if a17 != tw.to_base_bits(tw.norm_bits(p.c1)):
         raise AssertionError("x^17 coefficient must equal N(c1)")
 
     A = plane_product(base)
@@ -415,7 +407,7 @@ class CczWitness:
     kind: str
     L: UniPoly
     residual: UniPoly
-    c1: FieldElem | None = None
+    c1: int | None = None
     check_field: Field | None = None
     delta_f: int | None = None
     delta_gold: int | None = None
@@ -442,7 +434,7 @@ def default_check_field(base: Field, L: UniPoly) -> Field | None:
         n = base.n * k
         if (1 << n) > CHECK_FIELD_CAP:
             return None
-        K = field_make(n)
+        K = Field(n)
         if is_permutation(L, K):
             return K
     return None

@@ -27,9 +27,8 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-def _hex(v) -> str:
-    bits = v if isinstance(v, int) else v.bits
-    return f"0x{bits:x}"
+def _hex(v: int) -> str:
+    return f"0x{v:x}"
 
 
 def _emit_json(payload) -> None:
@@ -207,7 +206,7 @@ def _cmd_classify(args) -> int:
         family = "B" if witness.kind == "linear_of_power" else "A"
     rep_b = classify.check_family_b_divisor(f)
     if family == "A":
-        qp = classify.QuadraticPerturbation.canonical(tower, witness.c1.bits)
+        qp = classify.QuadraticPerturbation.canonical(tower, witness.c1)
         constraints = classify.constraints_for(qp)
 
     if args.json:

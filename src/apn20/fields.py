@@ -1,10 +1,10 @@
 """Exact arithmetic in GF(2^n) and cubic towers GF(2^n) < GF(2^{3n}).
 
-Field elements are bitvectors packed into ints: bit i holds the coefficient
-of t^i in the polynomial basis, so zero and one are always the ints 0 and 1.
-Field and TowerField objects are immutable and safe to share between
-workers; FieldElem is a small value wrapper used at API boundaries, while
-inner loops work on raw ints through the Field methods.
+Field elements are plain ints, bitvectors in the polynomial basis: bit i
+holds the coefficient of t^i, so zero and one are always 0 and 1.  An
+element is always passed next to its Field, whose methods do the
+arithmetic.  Field and TowerField objects are immutable and safe to share
+between workers.
 """
 
 from __future__ import annotations
@@ -159,61 +159,6 @@ def smallest_irreducible(n: int) -> int:
     return m
 
 
-class FieldElem:
-    """Element of a Field; operators require both operands in the same field."""
-
-    __slots__ = ("bits", "field")
-
-    def __init__(self, bits: int, field: "Field"):
-        if not 0 <= bits < field.order:
-            raise ValueError(f"element 0x{bits:x} out of range for {field}")
-        self.bits = bits
-        self.field = field
-
-    def _same(self, other):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other):
-        return FieldElem(self.bits ^ self._same(other).bits, self.field)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        return FieldElem(self.field.mul(self.bits, self._same(other).bits), self.field)
-
-    def __truediv__(self, other):
-        return FieldElem(
-            self.field.mul(self.bits, self.field.inv(self._same(other).bits)),
-            self.field,
-        )
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field.pow_(self.bits, e), self.field)
-
-    def inv(self):
-        return FieldElem(self.field.inv(self.bits), self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and self.bits == other.bits
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.bits, self.field.n, self.field.modulus))
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __repr__(self):
-        return f"0x{self.bits:x}"
-
-
 class Field:
     """GF(2^n) presented as GF(2)[t]/(modulus).
 
@@ -262,6 +207,11 @@ class Field:
 
     def spec(self) -> str:
         return f"{self.n}:0x{self.modulus:x}"
+
+    def check(self, v: int, name: str) -> None:
+        """Reject a caller's value v, labelled name, that is not an element."""
+        if not 0 <= v < self.order:
+            raise ValueError(f"{name} = {v:#x} is not an element of {self}")
 
     # -- int-level arithmetic ------------------------------------------------
 
@@ -371,27 +321,6 @@ class Field:
         out = list(map(vals.__getitem__, self._log))
         out[0] = at_zero
         return out
-
-    # -- element-level helpers -----------------------------------------------
-
-    def elem(self, bits: int) -> FieldElem:
-        return FieldElem(bits, self)
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(0, self)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(1, self)
-
-    def elements(self):
-        return (FieldElem(b, self) for b in range(self.order))
-
-
-def field_make(n: int, modulus: int | None = None) -> Field:
-    """Build GF(2^n), defaulting to the smallest irreducible modulus."""
-    return Field(n, modulus)
 
 
 def parse_field_spec(s: str) -> Field:
@@ -534,10 +463,6 @@ class Embedding:
             bits >>= 1
             i += 1
         return out
-
-    def __call__(self, a) -> FieldElem:
-        bits = a.bits if isinstance(a, FieldElem) else a
-        return FieldElem(self.map_bits(bits), self.ext)
 
     def inverse_bits(self, bits: int) -> int:
         if self._inverse is None:

@@ -15,13 +15,9 @@ import heapq
 import re
 from operator import xor
 
-from .fields import Field, FieldElem, find_embedding
+from .fields import Field, find_embedding
 
 PERMUTATION_CAP = 1 << 24
-
-
-def _bits(c) -> int:
-    return c.bits if isinstance(c, FieldElem) else c
 
 
 def _check_same_field(a, b):
@@ -47,7 +43,6 @@ class SparsePoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for m, c in items:
-                c = _bits(c)
                 if c:
                     clean[m] = clean.get(m, 0) ^ c
                     if not clean[m]:
@@ -60,11 +55,11 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, {cls._ONE: _bits(c)})
+        return cls(field, {cls._ONE: c})
 
     @classmethod
     def monomial(cls, field, m, c=1):
-        return cls(field, {m: _bits(c)})
+        return cls(field, {m: c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -92,8 +87,7 @@ class SparsePoly:
 
     __sub__ = __add__
 
-    def scale(self, c):
-        c = _bits(c)
+    def scale(self, c: int):
         mul = self.field.mul
         return type(self)(self.field, {m: mul(c, v) for m, v in self.terms.items()})
 
@@ -138,9 +132,6 @@ class UniPoly(SparsePoly):
     def coeff(self, e: int) -> int:
         return self.terms.get(e, 0)
 
-    def coeff_elem(self, e: int) -> FieldElem:
-        return FieldElem(self.terms.get(e, 0), self.field)
-
     def __mul__(self, other):
         _check_same_field(self, other)
         mul = self.field.mul
@@ -178,11 +169,6 @@ class UniPoly(SparsePoly):
         for e, c in self.terms.items():
             acc ^= f.mul(c, f.pow_(xb, e))
         return acc
-
-    def __call__(self, a: FieldElem) -> FieldElem:
-        if a.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {a.field}")
-        return FieldElem(self.eval_bits(a.bits), self.field)
 
     def is_qaffine(self) -> bool:
         """True iff every exponent is 0 or a power of two."""
@@ -397,7 +383,8 @@ _FACTOR_RE = re.compile(r"^([xyz])(?:\^(\d+))?$")
 
 
 def _parse_terms(text: str, field: Field):
-    """Yield (coeff_bits, {var: exp}) per '+'-separated term, tracking offsets."""
+    """(offset, coeff, {var: exp}) per '+'-separated term, offset being the
+    character position of the term in text."""
     pos = 0
     out = []
     for chunk in text.split("+"):
@@ -428,23 +415,23 @@ def _parse_terms(text: str, field: Field):
                 raise PolyParseError(f"bad factor {piece!r}", offset)
             var, exp = m.group(1), int(m.group(2) or 1)
             exps[var] = exps.get(var, 0) + exp
-        out.append((coeff, exps))
+        out.append((offset, coeff, exps))
     return out
 
 
 def parse_unipoly(text: str, field: Field) -> UniPoly:
     terms = []
-    for coeff, exps in _parse_terms(text, field):
+    for offset, coeff, exps in _parse_terms(text, field):
         bad = [v for v in exps if v != "x"]
         if bad:
-            raise PolyParseError(f"variable {bad[0]!r} in a univariate polynomial", 0)
+            raise PolyParseError(f"variable {bad[0]!r} in a univariate polynomial", offset)
         terms.append((exps.get("x", 0), coeff))
     return UniPoly(field, terms)
 
 
 def parse_tripoly(text: str, field: Field) -> TriPoly:
     terms = []
-    for coeff, exps in _parse_terms(text, field):
+    for _, coeff, exps in _parse_terms(text, field):
         terms.append(((exps.get("x", 0), exps.get("y", 0), exps.get("z", 0)), coeff))
     return TriPoly(field, terms)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fields import Field, field_make, roots
+from .fields import Field, roots
 from .polys import NotDivisible, TriPoly, UniPoly, exact_div, _format, _grlex
 
 # -- field-independent building blocks ------------------------------------------
@@ -25,7 +25,7 @@ from .polys import NotDivisible, TriPoly, UniPoly, exact_div, _format, _grlex
 # Each is computed once over GF(2) and lifted into whatever field asks by
 # embed, which copies the terms.
 
-_GF2 = field_make(1)
+_GF2 = Field(1)
 _E1 = TriPoly(_GF2, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 _E2 = TriPoly(_GF2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
 _PLANE = TriPoly(
@@ -212,7 +212,7 @@ def _id_even_degree_split(field, d=20, e=5, j=2):
 def _id_quintic_factorization(field):
     # odd-degree fields have no element of order 3, and S_5 has GF(2)
     # coefficients: check the factorization in GF(4) instead
-    big = field if field.n % 2 == 0 else field_make(2)
+    big = field if field.n % 2 == 0 else Field(2)
     alpha = _quartic_generator(big)
     x = TriPoly.variable(big, "x")
     y = TriPoly.variable(big, "y")

@@ -14,13 +14,13 @@ from apn20.apn import (
     invariance_check,
     value_table,
 )
-from apn20.fields import field_make
+from apn20.fields import Field
 from apn20.polys import UniPoly, parse_unipoly
 
-F2 = field_make(1)
-F8 = field_make(3)
-F16 = field_make(4)
-F32 = field_make(5)
+F2 = Field(1)
+F8 = Field(3)
+F16 = Field(4)
+F32 = Field(5)
 
 X3 = UniPoly.monomial(F2, 3)
 X5 = UniPoly.monomial(F2, 5)
@@ -28,14 +28,14 @@ X5 = UniPoly.monomial(F2, 5)
 
 def test_linearized_derivative_is_constant():
     f = parse_unipoly("x^2", F2)
-    a = F16.elem(0b10)
-    assert diff_count(f, a, a * a) == F16.order
-    assert diff_count(f, a, F16.one) == 0
+    a = 0b10
+    assert diff_count(f, F16, a, F16.mul(a, a)) == F16.order
+    assert diff_count(f, F16, a, 1) == 0
 
 
 def test_gold_counts_on_gf8():
     counts = {
-        diff_count(X3, F8.elem(a), F8.elem(b)) for a in range(1, 8) for b in range(8)
+        diff_count(X3, F8, a, b) for a in range(1, 8) for b in range(8)
     }
     assert counts == {0, 2}
 
@@ -45,12 +45,18 @@ def test_counts_always_even():
     f = UniPoly(F8, {e: rng.randrange(8) for e in range(7)})
     for a in range(1, 8):
         for b in range(8):
-            assert diff_count(f, F8.elem(a), F8.elem(b)) % 2 == 0
+            assert diff_count(f, F8, a, b) % 2 == 0
 
 
 def test_zero_direction_rejected():
     with pytest.raises(ValueError, match="nonzero"):
-        diff_count(X3, F8.zero, F8.one)
+        diff_count(X3, F8, 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(8, 1), (1, 8), (-1, 1), (1, -1)])
+def test_diff_count_rejects_out_of_range_elements(a, b):
+    with pytest.raises(ValueError, match=r"not an element of GF\(2\^3\)"):
+        diff_count(X3, F8, a, b)
 
 
 def test_row_sums_equal_field_size():
@@ -70,12 +76,12 @@ def test_delta_even_and_at_least_two():
 def test_worst_pair_attains_delta_and_is_smallest():
     f = parse_unipoly("x^6+x^5", F8)
     rep = differential_uniformity(f, F8)
-    assert diff_count(f, rep.worst_a, rep.worst_b) == rep.delta
-    for a in range(1, rep.worst_a.bits):
+    assert diff_count(f, F8, rep.worst_a, rep.worst_b) == rep.delta
+    for a in range(1, rep.worst_a):
         for b in range(F8.order):
-            assert diff_count(f, F8.elem(a), F8.elem(b)) < rep.delta
-    for b in range(rep.worst_b.bits):
-        assert diff_count(f, rep.worst_a, F8.elem(b)) < rep.delta
+            assert diff_count(f, F8, a, b) < rep.delta
+    for b in range(rep.worst_b):
+        assert diff_count(f, F8, rep.worst_a, b) < rep.delta
 
 
 def test_known_apn_verdicts():
@@ -98,7 +104,7 @@ def test_scan_quintic_plus_cubic_fails_somewhere_odd():
 
 
 def test_scan_skips_unembeddable_degrees():
-    f = UniPoly.monomial(field_make(2), 3)
+    f = UniPoly.monomial(Field(2), 3)
     rows = apn_scan(f, range(2, 7))
     skipped = {r.n for r in rows if r.skipped}
     assert skipped == {3, 5}
@@ -114,9 +120,9 @@ def test_value_table_embeds_coefficients():
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
-        differential_uniformity(X3, field_make(21))
+        differential_uniformity(X3, Field(21))
     with pytest.raises(CapExceeded):
-        differential_uniformity(X3, field_make(11), keep_ddt=True)
+        differential_uniformity(X3, Field(11), keep_ddt=True)
 
 
 def test_invariance_add_qaffine():
@@ -175,7 +181,7 @@ GENERAL_EXPS = [e for e in range(1, 64) if bin(e).count("1") >= 3]
 def subfield_polys(draw, n, kind):
     """A polynomial over a random subfield GF(2^m) of GF(2^n) taking `kind`'s path."""
     m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    B = field_make(m)
+    B = Field(m)
     coeff = st.integers(1, B.order - 1)
     if kind == "monomial":
         exps = [draw(st.integers(1, 64))]
@@ -193,7 +199,7 @@ def subfield_polys(draw, n, kind):
 @pytest.mark.parametrize("kind", ["monomial", "quadratic", "brute"])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_fast_paths_match_brute_force(n, kind):
-    K = field_make(n)
+    K = Field(n)
 
     @settings(max_examples=6, derandomize=True, deadline=None)
     @given(f=subfield_polys(n, kind))
@@ -213,7 +219,7 @@ def wide_exponent_polys(draw, n):
     """A polynomial over a random subfield of GF(2^n) with exponents up to 3q,
     drawn so that constant terms, e >= q - 1 and multiples of q - 1 occur."""
     m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    B = field_make(m)
+    B = Field(m)
     q1 = (1 << n) - 1
     exp = st.one_of(st.integers(0, 3 * q1 + 3), st.sampled_from([0, q1, 2 * q1, 3 * q1]))
     exps = draw(st.lists(exp, min_size=1, max_size=6, unique=True))
@@ -222,7 +228,7 @@ def wide_exponent_polys(draw, n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_value_table_matches_pointwise_evaluation(n):
-    K = field_make(n)
+    K = Field(n)
     q1 = K.order - 1
     seen = set()
 
@@ -240,7 +246,7 @@ def test_value_table_matches_pointwise_evaluation(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orbit_reps_are_the_orbit_minima(n):
-    K = field_make(n)
+    K = Field(n)
     for m in (d for d in range(1, n + 1) if n % d == 0):
         minima = set()
         for a in range(1, K.order):
@@ -250,8 +256,8 @@ def test_orbit_reps_are_the_orbit_minima(n):
 
 
 def test_coefficient_degree_ignores_the_constant():
-    F16 = field_make(4)
-    g4 = UniPoly(field_make(2), {3: 0b10, 5: 1}).embed(F16)
+    F16 = Field(4)
+    g4 = UniPoly(Field(2), {3: 0b10, 5: 1}).embed(F16)
     assert coefficient_degree(g4) == 2
     assert coefficient_degree(g4 + UniPoly.constant(F16, 0b10)) == 2
     assert coefficient_degree(UniPoly(F16, {3: 1, 0: 0b10})) == 1

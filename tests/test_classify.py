@@ -24,22 +24,20 @@ from apn20.classify import (
     search_perturbations,
     verify_family_a_quotient,
 )
-from apn20.fields import TowerField, field_make
+from apn20.fields import Field, TowerField
 from apn20.polys import NotDivisible, TriPoly, UniPoly, exact_div, parse_unipoly
 from apn20.surface import plane_product, surface_monomial, surface_poly
 
-F2 = field_make(1)
+F2 = Field(1)
 TW = TowerField(F2)
 EXT = TW.ext
-G = EXT.elem(0b10)
+G = 0b10
 
 TRACE_ZERO = [b for b in range(EXT.order) if TW.trace_bits(b) == 0]
 
 
-def fam_a(c1_bits, a12_bits=0, tail=None):
-    return FamilyAParams(
-        TW, EXT.elem(c1_bits), F2.elem(a12_bits), tail or UniPoly.zero(F2)
-    )
+def fam_a(c1, a12=0, tail=None):
+    return FamilyAParams(TW, c1, a12, tail or UniPoly.zero(F2))
 
 
 def test_trace_zero_set():
@@ -49,20 +47,20 @@ def test_trace_zero_set():
 def test_linearized_from_conjugates():
     L = linearized_from_conjugates(TW, G)
     assert L == parse_unipoly("x^4+x^2+x", F2)
-    assert linearized_from_conjugates(TW, EXT.zero) == parse_unipoly("x^4", F2)
+    assert linearized_from_conjugates(TW, 0) == parse_unipoly("x^4", F2)
     with pytest.raises(ValueError, match="trace"):
-        linearized_from_conjugates(TW, EXT.elem(0b11))
+        linearized_from_conjugates(TW, 0b11)
 
 
 def test_build_family_a_gold_instance():
-    f, L = build_family_a(fam_a(G.bits))
+    f, L = build_family_a(fam_a(G))
     assert f == parse_unipoly("x^4+x^2+x", F2) ** 5
     assert f.degree == 20
     assert L == parse_unipoly("x^4+x^2+x", F2)
 
 
 def test_build_family_a_degenerate():
-    f, L = build_family_a(fam_a(0, a12_bits=1))
+    f, L = build_family_a(fam_a(0, a12=1))
     assert L == parse_unipoly("x^4", F2)
     assert f == parse_unipoly("x^20+x^12", F2)
 
@@ -71,7 +69,29 @@ def test_family_a_params_validated():
     with pytest.raises(ValueError, match="trace"):
         fam_a(0b11)
     with pytest.raises(ValueError, match="q-affine"):
-        FamilyAParams(TW, G, F2.zero, parse_unipoly("x^3", F2))
+        FamilyAParams(TW, G, 0, parse_unipoly("x^3", F2))
+
+
+ZERO = UniPoly.zero(F2)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("c1", lambda: FamilyAParams(TW, EXT.order, 0, ZERO)),
+        ("c1", lambda: linearized_from_conjugates(TW, -2)),
+        ("a12", lambda: FamilyAParams(TW, G, 2, ZERO)),
+        ("a10", lambda: FamilyBParams(F2, 2, 0, ZERO)),
+        ("a5", lambda: FamilyBParams(F2, 0, -1, ZERO)),
+        ("c1", lambda: QuadraticPerturbation(TW, 8, 0, 0, 0)),
+        ("c4", lambda: QuadraticPerturbation(TW, G, 8, 0, 0)),
+        ("b1", lambda: QuadraticPerturbation(TW, G, G, 9, 0)),
+        ("d", lambda: QuadraticPerturbation(TW, G, G, 0, -1)),
+    ],
+)
+def test_parameters_out_of_range_rejected(name, build):
+    with pytest.raises(ValueError, match=f"^{name} = .* is not an element of GF"):
+        build()
 
 
 def test_family_a_always_degree_20_over_base():
@@ -83,18 +103,18 @@ def test_family_a_always_degree_20_over_base():
 
 
 def test_build_family_b():
-    assert build_family_b(FamilyBParams(F2, F2.zero, F2.zero, UniPoly.zero(F2))) == parse_unipoly("x^20", F2)
-    f = build_family_b(FamilyBParams(F2, F2.one, F2.one, UniPoly.zero(F2)))
+    assert build_family_b(FamilyBParams(F2, 0, 0, UniPoly.zero(F2))) == parse_unipoly("x^20", F2)
+    f = build_family_b(FamilyBParams(F2, 1, 1, UniPoly.zero(F2)))
     assert f == parse_unipoly("x^20+x^10+x^5", F2)
     L = parse_unipoly("x^4+x^2+x", F2)
     assert f == L.compose(parse_unipoly("x^5", F2))
 
 
 def test_family_b_surface_is_linear_combination():
-    F8 = field_make(3)
+    F8 = Field(3)
     for a10 in (0, 3, 7):
         for a5 in (0, 1, 5):
-            p = FamilyBParams(F8, F8.elem(a10), F8.elem(a5), UniPoly.zero(F8))
+            p = FamilyBParams(F8, a10, a5, UniPoly.zero(F8))
             f = build_family_b(p)
             expected = (
                 surface_monomial(20, F8)
@@ -105,14 +125,14 @@ def test_family_b_surface_is_linear_combination():
 
 
 def test_perturbed_plane_shapes():
-    zero = QuadraticPerturbation(TW, EXT.zero, EXT.zero, EXT.zero, EXT.zero)
+    zero = QuadraticPerturbation(TW, 0, 0, 0, 0)
     assert perturbed_plane(zero) == plane_product(EXT)
-    qp = QuadraticPerturbation.canonical(TW, G.bits)
+    qp = QuadraticPerturbation.canonical(TW, G)
     s5 = surface_monomial(5, EXT)
     expected = (
         plane_product(EXT)
-        + s5.scale(G.bits)
-        + TriPoly.constant(EXT, EXT.pow_(G.bits, 3))
+        + s5.scale(G)
+        + TriPoly.constant(EXT, EXT.pow_(G, 3))
     )
     assert perturbed_plane(qp) == expected
 
@@ -120,23 +140,23 @@ def test_perturbed_plane_shapes():
 def test_perturbed_plane_is_symmetric():
     from apn20.surface import to_symmetric, NotSymmetric
 
-    qp = QuadraticPerturbation(TW, G, EXT.elem(5), EXT.elem(7), EXT.elem(3))
+    qp = QuadraticPerturbation(TW, G, 5, 7, 3)
     assert not isinstance(to_symmetric(perturbed_plane(qp)), NotSymmetric)
 
 
 def test_conjugate_product_equals_surface_of_linearized_cube():
     for c1 in TRACE_ZERO:
         qp = QuadraticPerturbation.canonical(TW, c1)
-        L = linearized_from_conjugates(TW, EXT.elem(c1))
+        L = linearized_from_conjugates(TW, c1)
         assert conjugate_product(qp) == surface_poly(L ** 3).embed(EXT)
 
 
 def test_conjugate_product_on_bigger_tower():
-    tw = TowerField(field_make(2))
+    tw = TowerField(Field(2))
     tz = [b for b in range(tw.ext.order) if tw.trace_bits(b) == 0]
     for c1 in tz[:6]:
         qp = QuadraticPerturbation.canonical(tw, c1)
-        L = linearized_from_conjugates(tw, tw.ext.elem(c1))
+        L = linearized_from_conjugates(tw, c1)
         assert conjugate_product(qp) == surface_poly(L ** 3).embed(tw.ext)
 
 
@@ -148,14 +168,12 @@ def test_conjugate_product_slice_closed_forms():
     from apn20.surface import sym_expr
 
     for base_n in (1, 2, 3):
-        tw = TowerField(field_make(base_n))
+        tw = TowerField(Field(base_n))
         ext = tw.ext
         rng = random.Random(100 + base_n)
         for _ in range(12):
             c1, c4, b1, d = (rng.randrange(ext.order) for _ in range(4))
-            qp = QuadraticPerturbation(
-                tw, ext.elem(c1), ext.elem(c4), ext.elem(b1), ext.elem(d)
-            )
+            qp = QuadraticPerturbation(tw, c1, c4, b1, d)
             prod = conjugate_product(qp)
             A = plane_product(ext)
             assert prod.homogeneous_part(9) == A ** 3
@@ -190,8 +208,8 @@ def test_conjugate_product_slice_closed_forms():
 
 
 def test_check_family_a_divisor_round_trip():
-    f, _ = build_family_a(fam_a(G.bits))
-    rep = check_family_a_divisor(f, QuadraticPerturbation.canonical(TW, G.bits))
+    f, _ = build_family_a(fam_a(G))
+    rep = check_family_a_divisor(f, QuadraticPerturbation.canonical(TW, G))
     assert rep.divides
     assert all(rep.constraints.values())
     assert rep.quotient.homogeneous_part(8) == surface_monomial(5, F2) ** 4
@@ -199,16 +217,16 @@ def test_check_family_a_divisor_round_trip():
 
 def test_check_family_a_divisor_negative():
     rep = check_family_a_divisor(
-        parse_unipoly("x^20+x^17", F2), QuadraticPerturbation.canonical(TW, G.bits)
+        parse_unipoly("x^20+x^17", F2), QuadraticPerturbation.canonical(TW, G)
     )
     assert not rep.divides
     assert rep.remainder_monomial is not None
 
 
 def test_search_recovers_galois_orbit():
-    f, _ = build_family_a(fam_a(G.bits))
-    hits = {e.bits for e in search_perturbations(f, TW)}
-    orbit = {G.bits, TW.frob_bits(G.bits), TW.frob_bits(TW.frob_bits(G.bits))}
+    f, _ = build_family_a(fam_a(G))
+    hits = set(search_perturbations(f, TW))
+    orbit = {G, TW.frob_bits(G), TW.frob_bits(TW.frob_bits(G))}
     assert orbit <= hits
     assert all(TW.trace_bits(b) == 0 for b in hits)
     # hits are closed under the Galois action
@@ -217,7 +235,7 @@ def test_search_recovers_galois_orbit():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_conjugate_product_is_constant_on_frobenius_orbits(n):
-    tw = TowerField(field_make(n))
+    tw = TowerField(Field(n))
     rng = random.Random(n)
     for c1 in rng.sample(range(tw.ext.order), min(tw.ext.order, 24)):
         c2 = tw.frob_bits(c1)
@@ -235,18 +253,16 @@ def test_search_divides_once_per_frobenius_orbit(monkeypatch):
         return exact_div(num, den)
 
     monkeypatch.setattr(classify, "exact_div", counting)
-    f, _ = build_family_a(fam_a(G.bits))
+    f, _ = build_family_a(fam_a(G))
     hits = search_perturbations(f, TW)
     # G, G^2, G^4 are the three roots of the cubic and one orbit
-    assert [e.bits for e in hits] == sorted(
-        {G.bits, TW.frob_bits(G.bits), TW.frob_bits(TW.frob_bits(G.bits))}
-    )
+    assert hits == sorted({G, TW.frob_bits(G), TW.frob_bits(TW.frob_bits(G))})
     assert len(calls) == 1
 
 
 def test_search_on_pure_power():
     hits = search_perturbations(parse_unipoly("x^20", F2), TW)
-    assert [e.bits for e in hits] == [0]
+    assert hits == [0]
 
 
 def test_quotient_slices_all_parameters():
@@ -269,7 +285,7 @@ def test_quotient_degenerate_parameter():
 def test_check_family_b_divisor():
     for a10 in (0, 1):
         for a5 in (0, 1):
-            f = build_family_b(FamilyBParams(F2, F2.elem(a10), F2.elem(a5), UniPoly.zero(F2)))
+            f = build_family_b(FamilyBParams(F2, a10, a5, UniPoly.zero(F2)))
             rep = check_family_b_divisor(f)
             assert rep.divides and rep.factorization_ok
     rep = check_family_b_divisor(parse_unipoly("x^20+x^15", F2))
@@ -279,13 +295,13 @@ def test_check_family_b_divisor():
 
 
 def test_witness_gold_compose():
-    f, L = build_family_a(fam_a(G.bits))
+    f, L = build_family_a(fam_a(G))
     w = ccz_witness(f, TW)
     assert isinstance(w, CczWitness)
     assert w.kind == "gold_compose"
     assert w.L == L
     assert not w.residual
-    assert w.check_field == field_make(5)
+    assert w.check_field == Field(5)
     assert w.delta_match
 
 
@@ -299,7 +315,7 @@ def test_witness_linear_of_power():
 
 def test_witness_reconstruction_with_tail():
     tail = parse_unipoly("x^16+x^8+x^2+1", F2)
-    f, L = build_family_a(fam_a(G.bits, tail=tail))
+    f, L = build_family_a(fam_a(G, tail=tail))
     w = ccz_witness(f, TW)
     assert w.kind == "gold_compose"
     assert w.residual == tail
@@ -313,14 +329,14 @@ def test_witness_absent_for_odd_tail():
 
 
 def test_witness_absent_for_nonzero_multiplier():
-    f, _ = build_family_a(fam_a(G.bits, a12_bits=1))
+    f, _ = build_family_a(fam_a(G, a12=1))
     w = ccz_witness(f, TW)
     assert isinstance(w, NoWitness)
     assert w.stage == "family_a_reconstruction"
 
 
 def test_witness_degenerate_linear_part_skips_delta_check():
-    f = build_family_b(FamilyBParams(F2, F2.one, F2.zero, UniPoly.zero(F2)))
+    f = build_family_b(FamilyBParams(F2, 1, 0, UniPoly.zero(F2)))
     w = ccz_witness(f, TW)
     assert w.kind == "linear_of_power"
     assert w.check_field is None
@@ -331,7 +347,7 @@ def test_default_check_field_avoids_conjugate_roots():
     K = default_check_field(F2, L)
     assert K.n == 5
     # on the chosen field both sides are APN with equal uniformity
-    f, _ = build_family_a(fam_a(G.bits))
+    f, _ = build_family_a(fam_a(G))
     assert differential_uniformity(f, K).delta == differential_uniformity(
         UniPoly.monomial(F2, 5), K
     ).delta
@@ -344,29 +360,29 @@ def test_witness_requires_degree_20():
 
 def test_full_pipeline_on_quartic_base_tower():
     # base GF(4), extension GF(64): non-trivial coefficients end to end
-    F4 = field_make(2)
+    F4 = Field(2)
     tw = TowerField(F4)
     ext = tw.ext
     c1 = next(
-        ext.elem(b) for b in range(1, ext.order) if tw.trace_bits(b) == 0
+        b for b in range(1, ext.order) if tw.trace_bits(b) == 0
     )
-    p = FamilyAParams(tw, c1, F4.zero, UniPoly.zero(F4))
+    p = FamilyAParams(tw, c1, 0, UniPoly.zero(F4))
     f, L = build_family_a(p)
     assert f.degree == 20 and f.field == F4
 
     rep = verify_family_a_quotient(p)
     assert rep.all_ok and rep.sextic_coeff_ok
 
-    hits = {e.bits for e in search_perturbations(f, tw)}
-    orbit = {c1.bits, tw.frob_bits(c1.bits), tw.frob_bits(tw.frob_bits(c1.bits))}
+    hits = set(search_perturbations(f, tw))
+    orbit = {c1, tw.frob_bits(c1), tw.frob_bits(tw.frob_bits(c1))}
     assert orbit <= hits
 
     w = ccz_witness(f, tw)
     assert w.kind == "gold_compose" and w.L == L
-    assert w.check_field == field_make(10)
+    assert w.check_field == Field(10)
     assert w.delta_match
 
-    pb = FamilyBParams(F4, F4.elem(0b10), F4.elem(0b11), UniPoly(F4, {16: 1}))
+    pb = FamilyBParams(F4, 0b10, 0b11, UniPoly(F4, {16: 1}))
     fb = build_family_b(pb)
     rb = check_family_b_divisor(fb)
     assert rb.divides and rb.factorization_ok
@@ -384,7 +400,7 @@ def _exhaustive_hits(f, tower):
         qp = QuadraticPerturbation.canonical(tower, c1)
         prod = conjugate_product(qp).map_coeffs(tower.to_base_bits, tower.base)
         if not isinstance(exact_div(phi, prod), NotDivisible):
-            hits.append(tower.ext.elem(c1))
+            hits.append(c1)
     return hits
 
 
@@ -407,8 +423,8 @@ def degree_20_inputs(draw, K, kind):
     "n, ext_modulus", [(1, None), (1, 0xd), (2, None), (3, None)], ids=["2", "2-0xd", "4", "8"]
 )
 def test_cubic_roots_match_exhaustive_search(n, ext_modulus, kind):
-    K = field_make(n)
-    tw = TowerField(K, None if ext_modulus is None else field_make(3 * n, ext_modulus))
+    K = Field(n)
+    tw = TowerField(K, None if ext_modulus is None else Field(3 * n, ext_modulus))
 
     @settings(max_examples=12 if n < 3 else 4, derandomize=True, deadline=None)
     @given(f=degree_20_inputs(K, kind))

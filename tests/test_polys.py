@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apn20.fields import field_make
+from apn20.fields import Field
 from apn20.polys import (
     NotDivisible,
     PolyParseError,
@@ -18,9 +18,9 @@ from apn20.polys import (
 )
 from apn20.surface import SymPoly
 
-F2 = field_make(1)
-F8 = field_make(3)
-F32 = field_make(5)
+F2 = Field(1)
+F8 = Field(3)
+F32 = Field(5)
 
 
 def test_compose_square_of_sum():
@@ -85,7 +85,7 @@ def test_is_permutation_matches_pointwise_oracle():
     rng = random.Random(20)
     seen = set()
     for n in range(1, 9):
-        K = field_make(n)
+        K = Field(n)
         for _ in range(12):
             exps = [1 << i for i in range(n)] if rng.random() < 0.5 else range(3 * K.order)
             f = UniPoly(K, {e: rng.randrange(K.order) for e in rng.sample(exps, min(3, len(exps)))})
@@ -97,13 +97,13 @@ def test_is_permutation_matches_pointwise_oracle():
 
 
 def test_is_permutation_without_tables():
-    K = field_make(17)
+    K = Field(17)
     assert not K.has_tables
     assert is_permutation(parse_unipoly("x^2", F2), K)
     # x^4 + x vanishes at 0 and 1: the loop stops at x = 1
     assert not is_permutation(parse_unipoly("x^4+x", F2), K)
     # 3 divides 2^18 - 1, so cubing is not injective on GF(2^18)
-    assert not is_permutation(parse_unipoly("x^3", F2), field_make(18))
+    assert not is_permutation(parse_unipoly("x^3", F2), Field(18))
 
 
 def test_tri_basics():
@@ -191,9 +191,9 @@ def check_against_reference(field):
 
 def test_exact_div_round_trip():
     # a*b and a*b + r, exponents up to 30, on table fields and a generic one
-    generic = field_make(18)
+    generic = Field(18)
     assert not generic.has_tables
-    for field in (F2, F8, field_make(8), generic):
+    for field in (F2, F8, Field(8), generic):
         check_against_reference(field)
 
 
@@ -273,8 +273,9 @@ def test_parse_errors_carry_positions():
     with pytest.raises(PolyParseError) as e:
         parse_unipoly("x^2 + w^3", F2)
     assert e.value.position == 6
-    with pytest.raises(PolyParseError):
+    with pytest.raises(PolyParseError) as e:
         parse_unipoly("x^2 + y", F2)
+    assert e.value.position == 6
     with pytest.raises(PolyParseError):
         parse_unipoly("x^2 + + x", F2)
     with pytest.raises(PolyParseError, match="out of range"):
@@ -288,13 +289,13 @@ def test_zero_polynomial_formats():
 
 
 def test_embed_unipoly_into_extension():
-    F4 = field_make(2)
+    F4 = Field(2)
     f = UniPoly(F4, {3: 0b10, 1: 0b11})
-    g = f.embed(field_make(6))
+    g = f.embed(Field(6))
     # evaluation commutes with the embedding
     from apn20.fields import find_embedding
 
-    emb = find_embedding(F4, field_make(6))
+    emb = find_embedding(F4, Field(6))
     for x in range(4):
         assert g.eval_bits(emb.map_bits(x)) == emb.map_bits(f.eval_bits(x))
 

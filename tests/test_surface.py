@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from apn20.fields import field_make
+from apn20.fields import Field
 from apn20 import surface
 from apn20.polys import NotDivisible, TriPoly, UniPoly, exact_div, parse_tripoly, parse_unipoly
 from apn20.surface import (
@@ -20,9 +20,9 @@ from apn20.surface import (
     to_symmetric,
 )
 
-F2 = field_make(1)
-F8 = field_make(3)
-F16 = field_make(4)
+F2 = Field(1)
+F8 = Field(3)
+F16 = Field(4)
 
 
 def four_point_sum(f: UniPoly) -> TriPoly:
@@ -76,7 +76,7 @@ def test_kernel_sampled_over_gf8():
 @pytest.mark.parametrize("d", range(22))
 def test_lifted_monomial_matches_surface_in_field(spec, d):
     # S_d is computed once over GF(2) and lifted; the oracle divides in K itself
-    K = field_make(*spec)
+    K = Field(*spec)
     assert surface_monomial(d, K) == divided_in_field(UniPoly.monomial(K, d))
 
 
@@ -87,7 +87,7 @@ def test_lifted_monomial_matches_surface_in_field(spec, d):
 )
 def test_surface_poly_matches_division_in_field(spec):
     # random f up to degree 20, with constant and q-affine terms among them
-    K = field_make(*spec)
+    K = Field(*spec)
     rng = random.Random(spec[0])
     for _ in range(6):
         f = UniPoly(K, {e: rng.randrange(K.order) for e in range(21)})
@@ -106,7 +106,7 @@ def test_surface_poly_divides_nothing_once_its_monomials_are_known(monkeypatch):
 
     monkeypatch.setattr(surface, "exact_div", counting)
     assert surface_poly(f) == expected
-    assert surface_poly(f.embed(field_make(6))) == expected.embed(field_make(6))
+    assert surface_poly(f.embed(Field(6))) == expected.embed(Field(6))
     assert calls == []
 
 
@@ -195,7 +195,7 @@ def test_quintic_in_symmetric_basis():
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5], ids=["GF2", "GF8", "GF16", "GF32"])
 def test_identity_suite(n):
-    for report in run_identity_suite(field_make(n)):
+    for report in run_identity_suite(Field(n)):
         assert report.holds, (report.name, report.witness)
 
 
@@ -206,7 +206,7 @@ def test_identity_names_complete():
 @pytest.mark.parametrize("n", range(13, 24, 2))
 def test_identity_suite_on_large_odd_fields(n):
     # quintic-factorization needs no GF(2^(2n)), which would pass GF(2^24)
-    for report in run_identity_suite(field_make(n)):
+    for report in run_identity_suite(Field(n)):
         assert report.holds, (report.name, report.witness)
 
 
@@ -216,7 +216,7 @@ def test_quintic_factorization_auto_extends_odd_degree_fields():
     import time
 
     start = time.perf_counter()
-    report = check_identity("quintic-factorization", field_make(9))
+    report = check_identity("quintic-factorization", Field(9))
     assert report.holds
     assert time.perf_counter() - start < 5
 
@@ -260,6 +260,6 @@ def test_quartic_generator_has_order_three():
     from apn20.surface import _quartic_generator
 
     for n in (2, 4, 6, 8, 10, 12, 16):
-        K = field_make(n)
+        K = Field(n)
         alpha = _quartic_generator(K)
         assert K.sqr(alpha) ^ alpha ^ 1 == 0, n
