@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
+from .linear import rank, table
 from .polys import UniPoly, is_permutation, value_table
 
 DDT_CAP = 1 << 20
@@ -67,18 +68,6 @@ def _row_counts(vt: list[int], a: int) -> list[int]:
     return counts
 
 
-def _gf2_rank(vectors) -> int:
-    pivots = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length()
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
-    return len(pivots)
-
-
 def coefficient_degree(g: UniPoly) -> int:
     """Smallest divisor m of n with c^(2^m) = c for every non-constant coefficient.
 
@@ -100,11 +89,7 @@ def frobenius_orbit_reps(field: Field, m: int):
         yield from range(1, q)
         return
     # x -> x^(2^m) is GF(2)-linear: tabulate it from the images of the basis
-    basis = [field.pow_(1 << i, 1 << m) for i in range(field.n)]
-    frob = [0] * q
-    for a in range(1, q):
-        low = a & -a
-        frob[a] = frob[a ^ low] ^ basis[low.bit_length() - 1]
+    frob = table([field.pow_(1 << i, 1 << m) for i in range(field.n)])
     for a in range(1, q):
         b = frob[a]
         while b > a:
@@ -130,9 +115,9 @@ def _least_rank_row(vt: list[int], field: Field, m: int) -> tuple[int, int]:
     best_a, best_rank = 0, field.n + 1
     for a in frobenius_orbit_reps(field, m):
         fa = vt[a] ^ vt[0]
-        rank = _gf2_rank([vt[u ^ a] ^ vt[u] ^ fa for u in units])
-        if rank < best_rank:
-            best_a, best_rank = a, rank
+        r = rank([vt[u ^ a] ^ vt[u] ^ fa for u in units])
+        if r < best_rank:
+            best_a, best_rank = a, r
     return best_a, best_rank
 
 

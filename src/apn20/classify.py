@@ -34,13 +34,8 @@ from dataclasses import dataclass
 
 from .apn import differential_uniformity
 from .fields import Field, TowerField, roots
-from .polys import (
-    NotDivisible,
-    TriPoly,
-    UniPoly,
-    exact_div,
-    is_permutation,
-)
+from .linear import rank
+from .polys import NotDivisible, TriPoly, UniPoly, exact_div
 from .surface import plane_product, surface_monomial, surface_poly
 
 CHECK_FIELD_CAP = 1 << 12
@@ -119,8 +114,8 @@ def linearized_from_conjugates(tower: TowerField, c1: int) -> UniPoly:
     tower.ext.check(c1, "c1")
     if tower.trace_bits(c1) != 0:
         raise ValueError(f"c1 = 0x{c1:x} has nonzero trace; L would leave the base field")
-    q1 = tower.to_base_bits(tower.q1_bits(c1))
-    nrm = tower.to_base_bits(tower.norm_bits(c1))
+    q1 = tower.embedding.inverse_bits(tower.q1_bits(c1))
+    nrm = tower.embedding.inverse_bits(tower.norm_bits(c1))
     return UniPoly(tower.base, {4: 1, 2: q1, 1: nrm})
 
 
@@ -152,16 +147,12 @@ def perturbed_plane(qp: QuadraticPerturbation) -> TriPoly:
     return plane_product(ext) + TriPoly(ext, terms)
 
 
-def _tri_frobenius(p: TriPoly, tower: TowerField) -> TriPoly:
-    return p.map_coeffs(tower.frob_bits, tower.ext)
-
-
 def conjugate_product(qp: QuadraticPerturbation) -> TriPoly:
     """(A+P)(A+P^q)(A+P^{q^2}); its coefficients are Galois stable."""
     tw = qp.tower
     f0 = perturbed_plane(qp)
-    f1 = _tri_frobenius(f0, tw)
-    f2 = _tri_frobenius(f1, tw)
+    f1 = f0.map_coeffs(tw.frob_bits, tw.ext)
+    f2 = f1.map_coeffs(tw.frob_bits, tw.ext)
     prod = f0 * f1 * f2
     for m, c in prod.terms.items():
         if tw.frob_bits(c) != c:
@@ -173,7 +164,7 @@ def _conjugate_product_base(qp: QuadraticPerturbation) -> TriPoly:
     """The conjugate product with coefficients pulled back to the base field."""
     tw = qp.tower
     prod = conjugate_product(qp)
-    return prod.map_coeffs(tw.to_base_bits, tw.base)
+    return prod.map_coeffs(tw.embedding.inverse_bits, tw.base)
 
 
 # -- divisibility checks ------------------------------------------------------------
@@ -279,7 +270,7 @@ def search_perturbations(f: UniPoly, tower: TowerField) -> list[int]:
     phi = surface_poly(f)
     hits = []
     tried = set()
-    for c1_bits in roots([tower.embed_bits(c) for c in cubic], tower.ext):
+    for c1_bits in roots([tower.embedding.map_bits(c) for c in cubic], tower.ext):
         if c1_bits in tried:
             continue
         c2_bits = tower.frob_bits(c1_bits)
@@ -350,9 +341,9 @@ def verify_family_a_quotient(p: FamilyAParams) -> FamilyAQuotientReport:
     a18 = f.coeff(18)
     a17 = f.coeff(17)
     a12 = f.coeff(12)
-    if a18 != tw.to_base_bits(tw.q1_bits(p.c1)):
+    if a18 != tw.embedding.inverse_bits(tw.q1_bits(p.c1)):
         raise AssertionError("x^18 coefficient must equal q1(c1)")
-    if a17 != tw.to_base_bits(tw.norm_bits(p.c1)):
+    if a17 != tw.embedding.inverse_bits(tw.norm_bits(p.c1)):
         raise AssertionError("x^17 coefficient must equal N(c1)")
 
     A = plane_product(base)
@@ -424,20 +415,21 @@ class NoWitness:
 
 
 def default_check_field(base: Field, L: UniPoly) -> Field | None:
-    """Smallest usable field for the differential cross-check.
+    """GF(q^5) for the differential cross-check when L permutes it, else None.
 
-    Scaled multiples of the base degree with odd cofactor coprime to 3, so
-    the conjugate roots of a family-A L stay outside the field; the
-    permutation property is still tested explicitly.
+    For L = a x^4 + b x^2 + c x over GF(q), the nonzero roots of L are the
+    nonzero roots of a x^3 + b x + c.  If one lies in GF(q), L permutes no
+    extension.  If none does, L is a monomial, which permutes every field,
+    or that polynomial is an irreducible cubic, and L permutes GF(q^k) for
+    every k prime to 3.  So L permutes GF(q^5) iff its GF(2) rank on GF(q)
+    is base.n, and GF(q^5) is used if it is within CHECK_FIELD_CAP.
     """
-    for k in (5, 7, 11, 13):
-        n = base.n * k
-        if (1 << n) > CHECK_FIELD_CAP:
-            return None
-        K = Field(n)
-        if is_permutation(L, K):
-            return K
-    return None
+    if L.field != base or any(e not in (1, 2, 4) for e in L.terms):
+        raise ValueError(f"{L!r} is not a linearized polynomial of degree <= 4 over {base}")
+    n = 5 * base.n
+    if (1 << n) > CHECK_FIELD_CAP or rank(L.eval_bits(1 << i) for i in range(base.n)) < base.n:
+        return None
+    return Field(n)
 
 
 def _attach_delta_check(witness: CczWitness, f: UniPoly):

@@ -9,6 +9,8 @@ between workers.
 
 from __future__ import annotations
 
+from .linear import apply, echelon, reduce
+
 MAX_FIELD_DEGREE = 24
 
 # log/exp tables are built for fields up to this degree; they must agree
@@ -440,9 +442,14 @@ def roots(coeffs, K: Field) -> list[int]:
 
 
 class Embedding:
-    """Field homomorphism GF(2^m) -> GF(2^n) determined by the image of t."""
+    """Field homomorphism GF(2^m) -> GF(2^n) determined by the image of t.
 
-    __slots__ = ("base", "ext", "beta", "_pows", "_inverse")
+    It is GF(2)-linear with basis images beta^i.  Preimages reduce against
+    the echelon of the rows (beta^i << m) | 1 << i, whose low m bits track
+    which inputs were added.
+    """
+
+    __slots__ = ("base", "ext", "beta", "_pows", "_rows")
 
     def __init__(self, base: Field, ext: Field, beta: int):
         self.base = base
@@ -452,27 +459,18 @@ class Embedding:
         for i in range(1, base.n):
             pows[i] = ext.mul(pows[i - 1], beta)
         self._pows = pows
-        self._inverse = None
+        self._rows = echelon((p << base.n) | 1 << i for i, p in enumerate(pows))
 
     def map_bits(self, bits: int) -> int:
-        out = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                out ^= self._pows[i]
-            bits >>= 1
-            i += 1
-        return out
+        return apply(self._pows, bits)
 
     def inverse_bits(self, bits: int) -> int:
-        if self._inverse is None:
-            self._inverse = {self.map_bits(b): b for b in range(self.base.order)}
-        try:
-            return self._inverse[bits]
-        except KeyError:
+        v = reduce(self._rows, bits << self.base.n)
+        if v >> self.base.n:
             raise ValueError(
                 f"0x{bits:x} is not in the embedded image of {self.base} in {self.ext}"
             )
+        return v
 
 
 _EMBED_CACHE: dict[tuple, Embedding] = {}
@@ -495,13 +493,13 @@ def find_embedding(base: Field, ext: Field) -> Embedding:
 class TowerField:
     """GF(2^n) inside GF(2^{3n}) with the q-power Frobenius as generator.
 
-    Elements are raw bits of the extension.  frob_bits generates the
-    degree-3 Galois group; trace and norm are the usual orbit sum and
-    product and always land in the embedded base field; q1, q4, q5 and q6
-    are the conjugate symmetric forms.
+    Elements are raw bits of the extension.  frob_bits, x -> x^q, is the
+    embedding of the extension into itself sending t to t^q; it generates
+    the degree-3 Galois group.  Trace and norm are the orbit sum and product
+    and land in the embedded base field; q1, q4, q5 are the symmetric forms.
     """
 
-    __slots__ = ("base", "ext", "embedding")
+    __slots__ = ("base", "ext", "embedding", "_frob")
 
     def __init__(self, base: Field, ext: Field | None = None):
         if ext is None:
@@ -513,6 +511,7 @@ class TowerField:
         self.base = base
         self.ext = ext
         self.embedding = find_embedding(base, ext)
+        self._frob = Embedding(ext, ext, ext.pow_(0b10, base.order))
 
     def __repr__(self):
         return f"Tower({self.base!r} < {self.ext!r})"
@@ -527,13 +526,8 @@ class TowerField:
     def __hash__(self):
         return hash((self.base, self.ext))
 
-    def embed_bits(self, bits: int) -> int:
-        return self.embedding.map_bits(bits)
-
     def frob_bits(self, b: int) -> int:
-        for _ in range(self.base.n):
-            b = self.ext.sqr(b)
-        return b
+        return self._frob.map_bits(b)
 
     def trace_bits(self, b: int) -> int:
         f = self.frob_bits(b)
@@ -542,9 +536,6 @@ class TowerField:
     def norm_bits(self, b: int) -> int:
         f = self.frob_bits(b)
         return self.ext.mul(b, self.ext.mul(f, self.frob_bits(f)))
-
-    def to_base_bits(self, b: int) -> int:
-        return self.embedding.inverse_bits(b)
 
     def _orbit(self, b: int):
         f = self.frob_bits(b)
@@ -571,18 +562,3 @@ class TowerField:
             ^ mul(a1, b2)
             ^ mul(b1, a2)
         )
-
-    def q6_bits(self, c: int, b: int, d: int) -> int:
-        # The full six-term conjugate orbit: one product per assignment of
-        # the three Frobenius powers to the three arguments.  This is the
-        # unique symmetric, Galois-stable trilinear form of this shape;
-        # variants that drop or repeat one of the six products are not
-        # fixed by the Frobenius.
-        mul = self.ext.mul
-        co = self._orbit(c)
-        bo = self._orbit(b)
-        do = self._orbit(d)
-        out = 0
-        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            out ^= mul(co[i], mul(bo[j], do[k]))
-        return out

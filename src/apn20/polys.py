@@ -382,9 +382,9 @@ class PolyParseError(ValueError):
 _FACTOR_RE = re.compile(r"^([xyz])(?:\^(\d+))?$")
 
 
-def _parse_terms(text: str, field: Field):
-    """(offset, coeff, {var: exp}) per '+'-separated term, offset being the
-    character position of the term in text."""
+def _parse_terms(text: str, field: Field, variables: str):
+    """(coeff, {var: exp}) per '+'-separated term; errors give the character
+    position of the '*'-separated piece at fault."""
     pos = 0
     out = []
     for chunk in text.split("+"):
@@ -396,6 +396,8 @@ def _parse_terms(text: str, field: Field):
         coeff = 1
         exps: dict[str, int] = {}
         for piece in stripped.split("*"):
+            at = offset + len(piece) - len(piece.lstrip())
+            offset += len(piece) + 1
             piece = piece.strip()
             if piece == "1":
                 continue
@@ -403,35 +405,30 @@ def _parse_terms(text: str, field: Field):
                 try:
                     value = int(piece, 16)
                 except ValueError:
-                    raise PolyParseError(f"bad coefficient {piece!r}", offset)
+                    raise PolyParseError(f"bad coefficient {piece!r}", at)
                 if value >= field.order:
-                    raise PolyParseError(
-                        f"coefficient {piece} out of range for {field}", offset
-                    )
+                    raise PolyParseError(f"coefficient {piece} out of range for {field}", at)
                 coeff = field.mul(coeff, value)
                 continue
             m = _FACTOR_RE.match(piece)
             if not m:
-                raise PolyParseError(f"bad factor {piece!r}", offset)
+                raise PolyParseError(f"bad factor {piece!r}", at)
             var, exp = m.group(1), int(m.group(2) or 1)
+            if var not in variables:
+                raise PolyParseError(f"variable {var!r} in a univariate polynomial", at)
             exps[var] = exps.get(var, 0) + exp
-        out.append((offset, coeff, exps))
+        out.append((coeff, exps))
     return out
 
 
 def parse_unipoly(text: str, field: Field) -> UniPoly:
-    terms = []
-    for offset, coeff, exps in _parse_terms(text, field):
-        bad = [v for v in exps if v != "x"]
-        if bad:
-            raise PolyParseError(f"variable {bad[0]!r} in a univariate polynomial", offset)
-        terms.append((exps.get("x", 0), coeff))
+    terms = [(exps.get("x", 0), coeff) for coeff, exps in _parse_terms(text, field, "x")]
     return UniPoly(field, terms)
 
 
 def parse_tripoly(text: str, field: Field) -> TriPoly:
     terms = []
-    for _, coeff, exps in _parse_terms(text, field):
+    for coeff, exps in _parse_terms(text, field, "xyz"):
         terms.append(((exps.get("x", 0), exps.get("y", 0), exps.get("z", 0)), coeff))
     return TriPoly(field, terms)
 

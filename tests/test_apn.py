@@ -265,6 +265,6 @@ def test_coefficient_degree_ignores_the_constant():
 
 
 def test_rank_mismatch_is_an_invariant_failure(monkeypatch):
-    monkeypatch.setattr("apn20.apn._gf2_rank", lambda vectors: 0)
+    monkeypatch.setattr("apn20.apn.rank", lambda vectors: 0)
     with pytest.raises(AssertionError, match="derivative rank"):
         differential_uniformity(parse_unipoly("x^20+x^10+x^5", F2), F16)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,15 @@ from apn20.classify import (
     verify_family_a_quotient,
 )
 from apn20.fields import Field, TowerField
-from apn20.polys import NotDivisible, TriPoly, UniPoly, exact_div, parse_unipoly
+from apn20.linear import rank
+from apn20.polys import (
+    NotDivisible,
+    TriPoly,
+    UniPoly,
+    exact_div,
+    is_permutation,
+    parse_unipoly,
+)
 from apn20.surface import plane_product, surface_monomial, surface_poly
 
 F2 = Field(1)
@@ -353,6 +362,55 @@ def test_default_check_field_avoids_conjugate_roots():
     ).delta
 
 
+def _old_check_field(base, L):
+    # oracle: the exhaustive search over k = 5, 7, 11, 13 it replaced
+    for k in (5, 7, 11, 13):
+        if 1 << (base.n * k) > classify.CHECK_FIELD_CAP:
+            return None
+        K = Field(base.n * k)
+        if is_permutation(L, K):
+            return K
+    return None
+
+
+def _linearized_polys(m, count=None):
+    """Every L = a x^4 + b x^2 + c x over GF(2^m), or count seeded ones."""
+    q = 1 << m
+    coeffs = itertools.product(range(q), repeat=3)
+    if count is not None:
+        rng = random.Random(m)
+        coeffs = [[rng.randrange(q) for _ in range(3)] for _ in range(count)]
+    return [UniPoly(Field(m), {4: a, 2: b, 1: c}) for a, b, c in coeffs]
+
+
+@pytest.mark.parametrize("m,count", [(1, None), (2, None), (3, 40), (4, 12)])
+def test_rank_over_the_base_decides_every_extension(m, count):
+    # L = a x^4 + b x^2 + c x of full rank over GF(q) permutes GF(q^k) for
+    # every k prime to 3, and for every k when L is a monomial; L of lower
+    # rank permutes no GF(q^k); checked pointwise for every mk <= 16
+    fields = {k: Field(m * k) for k in range(1, 16 // m + 1)}
+    for L in _linearized_polys(m, count):
+        full = rank(L.eval_bits(1 << i) for i in range(m)) == m
+        for k, K in fields.items():
+            want = full and (k % 3 != 0 or len(L.terms) == 1)
+            assert is_permutation(L, K) == want, (L, k)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_default_check_field_matches_the_exhaustive_search(m):
+    base = Field(m)
+    for L in _linearized_polys(m):
+        assert default_check_field(base, L) == _old_check_field(base, L), L
+
+
+def test_default_check_field_rejects_other_polynomials():
+    for text in ("x^8+x", "x^4+x^3", "x^4+x+1"):
+        with pytest.raises(ValueError, match="linearized"):
+            default_check_field(F2, parse_unipoly(text, F2))
+    with pytest.raises(ValueError, match="linearized"):
+        default_check_field(Field(2), parse_unipoly("x^4+x", F2))
+
+
 def test_witness_requires_degree_20():
     with pytest.raises(ValueError, match="degree"):
         ccz_witness(parse_unipoly("x^12", F2), TW)
@@ -398,7 +456,7 @@ def _exhaustive_hits(f, tower):
     hits = []
     for c1 in range(tower.ext.order):
         qp = QuadraticPerturbation.canonical(tower, c1)
-        prod = conjugate_product(qp).map_coeffs(tower.to_base_bits, tower.base)
+        prod = conjugate_product(qp).map_coeffs(tower.embedding.inverse_bits, tower.base)
         if not isinstance(exact_div(phi, prod), NotDivisible):
             hits.append(c1)
     return hits

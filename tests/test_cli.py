@@ -306,7 +306,7 @@ def test_internal_failures_exit_4_and_caps_exit_3(capsys, monkeypatch, exc, code
 
 
 def test_rank_mismatch_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(apn, "_gf2_rank", lambda vectors: 0)
+    monkeypatch.setattr(apn, "rank", lambda vectors: 0)
     code, out, err = run(capsys, "apn", "--field", "4", "--poly", "x^20+x^10+x^5", "--json")
     assert code == 4
     assert out == ""

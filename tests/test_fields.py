@@ -211,20 +211,19 @@ def test_frobenius_is_field_automorphism(tower_2_6):
 
 def test_base_is_fixed_field(tower_2_6):
     tw = tower_2_6
-    image = {tw.embed_bits(b) for b in range(tw.base.order)}
+    image = {tw.embedding.map_bits(b) for b in range(tw.base.order)}
     fixed = {b for b in range(tw.ext.order) if tw.frob_bits(b) == b}
     assert image == fixed
 
 
 def test_embedding_is_homomorphism(tower_3_9):
     tw = tower_3_9
+    emb = tw.embedding.map_bits
     for a in range(tw.base.order):
         for b in range(tw.base.order):
-            assert tw.embed_bits(tw.base.mul(a, b)) == tw.ext.mul(
-                tw.embed_bits(a), tw.embed_bits(b)
-            )
-            assert tw.embed_bits(a ^ b) == tw.embed_bits(a) ^ tw.embed_bits(b)
-    assert tw.embed_bits(1) == 1
+            assert emb(tw.base.mul(a, b)) == tw.ext.mul(emb(a), emb(b))
+            assert emb(a ^ b) == emb(a) ^ emb(b)
+    assert emb(1) == 1
 
 
 def test_gf8_frobenius_example(tower_1_3):
@@ -265,8 +264,7 @@ def test_orbit_forms_are_galois_stable(tower_1_3, tower_2_6, tower_3_9):
         for _ in range(40):
             a = rng.randrange(tw.ext.order)
             b = rng.randrange(tw.ext.order)
-            c = rng.randrange(tw.ext.order)
-            for v in (tw.q4_bits(a, b), tw.q5_bits(a, b), tw.q6_bits(a, b, c)):
+            for v in (tw.q4_bits(a, b), tw.q5_bits(a, b)):
                 assert tw.frob_bits(v) == v
 
 
@@ -292,15 +290,6 @@ def test_q_form_special_values(tower_2_6):
         assert tw.q5_bits(a, a) == 0
 
 
-def test_q6_symmetric_in_arguments(tower_1_3):
-    tw = tower_1_3
-    import itertools
-
-    for a, b, c in itertools.product(range(8), repeat=3):
-        vals = {tw.q6_bits(*perm) for perm in itertools.permutations((a, b, c))}
-        assert len(vals) == 1
-
-
 def test_quartic_product_coefficients(tower_1_3, tower_2_6):
     # x (x+c)(x+c^q)(x+c^{q^2}) = x^4 + tr(c) x^3 + q1(c) x^2 + N(c) x
     for tw in (tower_1_3, tower_2_6):
@@ -323,7 +312,45 @@ def test_to_base_rejects_non_fixed(tower_1_3):
     tw = tower_1_3
     moving = next(b for b in range(tw.ext.order) if tw.frob_bits(b) != b)
     with pytest.raises(ValueError, match="image"):
-        tw.to_base_bits(moving)
+        tw.embedding.inverse_bits(moving)
+
+
+def test_inverse_bits_inverts_map_bits_for_every_subfield():
+    for n in range(1, 13):
+        ext = Field(n)
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            emb = find_embedding(Field(m), ext)
+            image = set()
+            for b in range(1 << m):
+                image.add(emb.map_bits(b))
+                assert emb.inverse_bits(emb.map_bits(b)) == b
+            outside = next((v for v in range(ext.order) if v not in image), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match="image"):
+                    emb.inverse_bits(outside)
+            for bad in (ext.order, -1):
+                with pytest.raises(ValueError, match="image"):
+                    emb.inverse_bits(bad)
+
+
+def _frob_by_squaring(tw, b):
+    # oracle: x^q by m squarings in the extension
+    for _ in range(tw.base.n):
+        b = tw.ext.sqr(b)
+    return b
+
+
+def test_frob_bits_equals_repeated_squaring():
+    import random
+
+    for m in (1, 2, 3, 4):
+        tw = TowerField(Field(m))
+        for b in range(tw.ext.order):
+            assert tw.frob_bits(b) == _frob_by_squaring(tw, b)
+    tw = TowerField(Field(8))
+    rng = random.Random(8)
+    for b in [0, 1, tw.ext.order - 1] + [rng.randrange(tw.ext.order) for _ in range(200)]:
+        assert tw.frob_bits(b) == _frob_by_squaring(tw, b)
 
 
 def test_general_embedding_tower():

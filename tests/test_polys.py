@@ -280,6 +280,16 @@ def test_parse_errors_carry_positions():
         parse_unipoly("x^2 + + x", F2)
     with pytest.raises(PolyParseError, match="out of range"):
         parse_unipoly("0x9*x", F8)
+    # the position is that of the '*'-separated piece at fault, not its term
+    for text, message, position in (
+        ("x^2 + x*w", "bad factor 'w'", 8),
+        ("x^2 + 0x3*x^2*0xZ", "bad coefficient '0xZ'", 14),
+        ("x^2 + x*y", "variable 'y'", 8),
+        ("x^2 + x * 0x9", "out of range", 10),
+    ):
+        with pytest.raises(PolyParseError, match=message) as e:
+            parse_unipoly(text, F8)
+        assert e.value.position == position, text
 
 
 def test_zero_polynomial_formats():
