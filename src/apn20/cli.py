@@ -11,6 +11,7 @@ carry "schema": 1 and serialize field elements as 0xHEX.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,6 +36,7 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+@functools.cache  # built on the first main() call; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="apn20",
@@ -266,7 +268,10 @@ def _cmd_classify(args) -> int:
 def _cmd_divisors(args) -> int:
     convention = "conjugate_fixed" if args.convention == "fixed" else "frobenius_swaps_C"
     cases = divisors.case_analysis(convention)
-    ok = all(c.uniform_agrees for c in cases) and len(divisors.survivors(cases)) == 2
+    ok = (
+        all(c.uniform_agrees and not c.convention_sensitive for c in cases)
+        and len(divisors.survivors(cases)) == 2
+    )
     if args.json:
         _emit_json(
             {

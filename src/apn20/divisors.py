@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, gt, itemgetter, le, sub
+from types import MappingProxyType
 
 LINES = ("A0", "A1", "A2", "C1", "C2")
+_INDEX = {k: i for i, k in enumerate(LINES)}
 
-# variable pair behind each A-line: A0 = {x,y}, A1 = {y,z}, A2 = {x,z}
-_A_PAIRS = {"A0": frozenset((0, 1)), "A1": frozenset((1, 2)), "A2": frozenset((0, 2))}
-_PAIR_TO_A = {v: k for k, v in _A_PAIRS.items()}
+# variable pair behind each A-line, in LINES order: A0 = {x,y}, A1 = {y,z}, A2 = {x,z}
+_A_PAIRS = (frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2)))
 
 # the six coordinate permutations, as images of (x, y, z); listed in the
 # orbit order identity, both 3-cycles, then the three transpositions
@@ -34,9 +36,13 @@ _PERMUTATIONS = (
 
 
 class Divisor:
-    """Non-negative formal combination of the five lines at infinity."""
+    """Non-negative formal combination of the five lines at infinity.
 
-    __slots__ = ("coeffs",)
+    Immutable: the multiplicities are a 5-tuple in LINES order, checked once
+    by the constructor; the line maps below only reorder a checked tuple.
+    """
+
+    __slots__ = ("_m",)
 
     def __init__(self, coeffs=None, **named):
         merged = dict(coeffs or {})
@@ -46,92 +52,96 @@ class Divisor:
                 raise ValueError(f"unknown line {k!r}")
             if v < 0:
                 raise ValueError(f"negative multiplicity for {k}")
-        self.coeffs = {k: merged.get(k, 0) for k in LINES}
+        _set_m(self, tuple(merged.get(k, 0) for k in LINES))
+
+    @classmethod
+    def _of(cls, m: tuple) -> Divisor:
+        """Wrap a non-negative 5-tuple without checking it."""
+        d = object.__new__(cls)
+        _set_m(d, m)
+        return d
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Divisor is immutable")
+
+    def __reduce__(self):
+        return Divisor._of, (self._m,)
+
+    @property
+    def coeffs(self):
+        """Read-only view {line: multiplicity} in LINES order."""
+        return MappingProxyType(dict(zip(LINES, self._m)))
 
     def __getitem__(self, line):
-        return self.coeffs[line]
+        return self._m[_INDEX[line]]
 
     @property
     def degree(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self._m)
 
     def __add__(self, other):
-        return Divisor({k: self.coeffs[k] + other.coeffs[k] for k in LINES})
+        return Divisor._of(tuple(map(add, self._m, other._m)))
 
     def __le__(self, other):
-        return all(self.coeffs[k] <= other.coeffs[k] for k in LINES)
+        return all(map(le, self._m, other._m))
 
     def exceeds(self, other) -> bool:
         """True when some coordinate is strictly above the other divisor's."""
-        return any(self.coeffs[k] > other.coeffs[k] for k in LINES)
+        return any(map(gt, self._m, other._m))
 
     def __sub__(self, other):
-        out = {k: self.coeffs[k] - other.coeffs[k] for k in LINES}
-        if any(v < 0 for v in out.values()):
+        out = tuple(map(sub, self._m, other._m))
+        if min(out) < 0:
             raise ValueError("difference is not effective")
-        return Divisor(out)
+        return Divisor._of(out)
 
     def __eq__(self, other):
-        return isinstance(other, Divisor) and self.coeffs == other.coeffs
+        return isinstance(other, Divisor) and self._m == other._m
 
     def __hash__(self):
-        return hash(tuple(self.coeffs[k] for k in LINES))
+        return hash(self._m)
 
     def __bool__(self):
-        return any(self.coeffs.values())
+        return any(self._m)
 
     def distinct_a_lines(self) -> int:
-        return sum(1 for k in ("A0", "A1", "A2") if self.coeffs[k])
+        return 3 - self._m[:3].count(0)
 
     def is_s3_symmetric(self) -> bool:
-        a0, a1, a2 = (self.coeffs[k] for k in ("A0", "A1", "A2"))
-        return a0 == a1 == a2 and self.coeffs["C1"] == self.coeffs["C2"]
+        a0, a1, a2, c1, c2 = self._m
+        return a0 == a1 == a2 and c1 == c2
 
     def __repr__(self):
-        parts = [
-            (k if v == 1 else f"{v}*{k}")
-            for k, v in self.coeffs.items()
-            if v
-        ]
+        parts = [(k if v == 1 else f"{v}*{k}") for k, v in zip(LINES, self._m) if v]
         return "+".join(parts) if parts else "0"
 
+
+_set_m = Divisor._m.__set__  # the slot's own setter, past the __setattr__ guard
 
 HYPERPLANE_DIVISOR = Divisor(A0=3, A1=3, A2=3, C1=4, C2=4)
 
 
-def _apply_perm(x0: Divisor, perm) -> Divisor:
-    out = {}
-    for a, pair in _A_PAIRS.items():
-        image = frozenset(perm[v] for v in pair)
-        out[_PAIR_TO_A[image]] = x0[a]
+def _line_map(perm) -> tuple:
+    """The permutation as source indices: image[i] = x0[src[i]] over LINES."""
+    src = [0] * len(LINES)
+    for a, pair in enumerate(_A_PAIRS):
+        src[_A_PAIRS.index(frozenset(perm[v] for v in pair))] = a
     # even permutations fix the conjugate lines, transpositions swap them
-    inversions = sum(
-        1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j]
-    )
-    if inversions % 2 == 0:
-        out["C1"], out["C2"] = x0["C1"], x0["C2"]
-    else:
-        out["C1"], out["C2"] = x0["C2"], x0["C1"]
-    return Divisor(out)
+    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
+    src[3:] = (3, 4) if inversions % 2 == 0 else (4, 3)
+    return tuple(src)
+
+
+_S3_GETTERS = tuple(itemgetter(*_line_map(p)) for p in _PERMUTATIONS)
+_SWAP_C = itemgetter(0, 1, 2, 4, 3)
+# rotation by k sends the multiplicity of A_i to A_(i+k mod 3)
+_ROTATE_A = tuple(itemgetter((0 - k) % 3, (1 - k) % 3, (2 - k) % 3, 3, 4) for k in range(3))
 
 
 def s3_images(x0: Divisor) -> list[Divisor]:
     """Images of x0 under all six coordinate permutations (identity first)."""
-    return [_apply_perm(x0, p) for p in _PERMUTATIONS]
-
-
-def _swap_c(x0: Divisor) -> Divisor:
-    out = dict(x0.coeffs)
-    out["C1"], out["C2"] = out["C2"], out["C1"]
-    return Divisor(out)
-
-
-def _rotate_a(x0: Divisor, k: int) -> Divisor:
-    names = ("A0", "A1", "A2")
-    out = dict(x0.coeffs)
-    for i, a in enumerate(names):
-        out[names[(i + k) % 3]] = x0[a]
-    return Divisor(out)
+    m = x0._m
+    return [Divisor._of(g(m)) for g in _S3_GETTERS]
 
 
 def galois_images(x0: Divisor, convention: str = "conjugate_fixed") -> list[Divisor]:
@@ -145,13 +155,12 @@ def galois_images(x0: Divisor, convention: str = "conjugate_fixed") -> list[Divi
     not depend on the choice; case_analysis checks that.
     """
     if convention == "conjugate_fixed":
-        a0, a1, a2 = (x0[k] for k in ("A0", "A1", "A2"))
-        has_c = x0["C1"] or x0["C2"]
-        if has_c and not (a0 == a1 == a2):
-            return [_rotate_a(x0, k) for k in range(3)]
+        a0, a1, a2, c1, c2 = x0._m
+        if (c1 or c2) and not (a0 == a1 == a2):
+            return [Divisor._of(g(x0._m)) for g in _ROTATE_A]
         return [x0, x0, x0]
     if convention == "frobenius_swaps_C":
-        return [x0, _swap_c(x0), x0]
+        return [x0, Divisor._of(_SWAP_C(x0._m)), x0]
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -232,24 +241,15 @@ def _transcribed_orbit(x0: Divisor, label: str) -> list[Divisor] | None:
 
 def _uniform_orbit(x0: Divisor, convention: str):
     """Orbit of the uniform strategy: coordinate images first, Galois if needed."""
-    if x0.is_s3_symmetric():
-        stage1 = [x0]
-    else:
-        stage1 = s3_images(x0)
-    total = stage1[0]
-    for d in stage1[1:]:
-        total = total + d
+    symmetric = x0.is_s3_symmetric()
+    stage1 = [x0] if symmetric else s3_images(x0)
+    total = sum(stage1[1:], stage1[0])
     if total.exceeds(HYPERPLANE_DIVISOR):
         return stage1, total
     galois = galois_images(x0, convention)
-    if x0.is_s3_symmetric():
-        orbit = galois
-        total = galois[0] + galois[1] + galois[2]
-    else:
-        orbit = stage1 + galois
-        for d in galois:
-            total = total + d
-    return orbit, total
+    if symmetric:
+        return galois, sum(galois[1:], galois[0])
+    return stage1 + galois, sum(galois, total)
 
 
 def _verdict_for(x0: Divisor, convention: str):
@@ -263,12 +263,12 @@ def _verdict_for(x0: Divisor, convention: str):
 
 def enumerate_candidates() -> list[Divisor]:
     """Every divisor below D with the A0 line once and total degree 2 to 5."""
-    out = []
-    for a1, a2, c1, c2 in product(range(4), range(4), range(5), range(5)):
-        deg = 1 + a1 + a2 + c1 + c2
-        if 2 <= deg <= 5:
-            out.append(Divisor(A0=1, A1=a1, A2=a2, C1=c1, C2=c2))
-    out.sort(key=lambda d: (d.degree, d["A1"], d["A2"], d["C1"], d["C2"]))
+    out = [
+        Divisor._of((1, a1, a2, c1, c2))
+        for a1, a2, c1, c2 in product(range(4), range(4), range(5), range(5))
+        if 1 <= a1 + a2 + c1 + c2 <= 4
+    ]
+    out.sort(key=lambda d: (d.degree, d._m))
     return out
 
 
@@ -297,9 +297,7 @@ def case_analysis(convention: str = "conjugate_fixed") -> list[CaseVerdict]:
                 "third as well, which leaves this degree class"
             )
         elif transcription is not None:
-            t_total = transcription[0]
-            for d in transcription[1:]:
-                t_total = t_total + d
+            t_total = sum(transcription[1:], transcription[0])
             t_verdict = (
                 VERDICT_EXCEEDS
                 if t_total.exceeds(HYPERPLANE_DIVISOR)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from apn20 import apn, classify
+from apn20 import apn, classify, divisors
 from apn20.cli import main
 
 
@@ -241,6 +241,25 @@ def test_divisors_json_both_conventions(capsys):
         assert payload["all_checks_hold"] is True
         surv = [c for c in payload["cases"] if c["verdict"] == "survivor"]
         assert len(surv) == 2
+
+
+def test_divisors_convention_sensitive_case_fails_the_check(capsys, monkeypatch):
+    real = divisors.case_analysis
+
+    def one_sensitive(convention):
+        cases = real(convention)
+        cases[0].convention_sensitive = True
+        return cases
+
+    monkeypatch.setattr(divisors, "case_analysis", one_sensitive)
+    for convention in ("fixed", "frobenius"):
+        code, out, _ = run(capsys, "divisors", "--convention", convention, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_checks_hold"] is False
+        assert [c["convention_sensitive"] for c in payload["cases"]].count(True) == 1
+    code, _, _ = run(capsys, "divisors")
+    assert code == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from apn20.divisors import (
@@ -24,12 +27,31 @@ def test_divisor_basics():
     assert d <= HYPERPLANE_DIVISOR
     assert Divisor(C1=5).exceeds(HYPERPLANE_DIVISOR)
     assert (HYPERPLANE_DIVISOR - d)["A0"] == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative multiplicity for A0$"):
         Divisor(A0=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative multiplicity for C2$"):
+        Divisor({"C2": -1}, A0=1)
+    with pytest.raises(ValueError, match=r"^unknown line 'B7'$"):
         Divisor(B7=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown line 'B7'$"):
+        Divisor({"B7": 0})
+    with pytest.raises(ValueError, match=r"^difference is not effective$"):
         Divisor(C1=1) - Divisor(C1=2)
+
+
+def test_divisor_is_immutable():
+    d = Divisor(A0=1, C1=2)
+    h = hash(d)
+    with pytest.raises(TypeError):
+        d["C1"] = 3
+    with pytest.raises(TypeError):
+        d.coeffs["C1"] = 3
+    for name in ("coeffs", "C1", "_m"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, (0, 0, 0, 0, 0))
+    assert hash(d) == h and d == Divisor(A0=1, C1=2)
+    assert dict(d.coeffs) == {"A0": 1, "A1": 0, "A2": 0, "C1": 2, "C2": 0}
+    assert copy.deepcopy(d) == d and pickle.loads(pickle.dumps(d)) == d
 
 
 def test_hyperplane_divisor_shape():
@@ -69,6 +91,47 @@ def test_s3_is_a_group_action():
     orbit = set(images)
     for img in images:
         assert set(s3_images(img)) == orbit
+
+
+# variable pair behind each A-line: A0 = {x,y}, A1 = {y,z}, A2 = {x,z}
+_A_PAIRS = {"A0": frozenset((0, 1)), "A1": frozenset((1, 2)), "A2": frozenset((0, 2))}
+_PAIR_TO_A = {v: k for k, v in _A_PAIRS.items()}
+_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1))
+
+
+def _apply_perm(x0: Divisor, perm) -> Divisor:
+    """Reference action of a coordinate permutation, line by line: each A-line
+    goes to the line of its image pair, and odd permutations swap C1, C2."""
+    out = {}
+    for a, pair in _A_PAIRS.items():
+        out[_PAIR_TO_A[frozenset(perm[v] for v in pair)]] = x0[a]
+    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
+    if inversions % 2 == 0:
+        out["C1"], out["C2"] = x0["C1"], x0["C2"]
+    else:
+        out["C1"], out["C2"] = x0["C2"], x0["C1"]
+    return Divisor(out)
+
+
+def _galois_reference(x0: Divisor, convention: str) -> list[Divisor]:
+    if convention == "conjugate_fixed":
+        # the rotated companions are the images under the identity and both 3-cycles
+        lopsided = not (x0["A0"] == x0["A1"] == x0["A2"])
+        if lopsided and (x0["C1"] or x0["C2"]):
+            return [_apply_perm(x0, p) for p in _PERMUTATIONS[:3]]
+        return [x0, x0, x0]
+    swapped = dict(x0.coeffs)
+    swapped["C1"], swapped["C2"] = x0["C2"], x0["C1"]
+    return [x0, Divisor(swapped), x0]
+
+
+def test_line_maps_match_the_reference_action():
+    cands = enumerate_candidates()
+    assert len(cands) == 67
+    for x0 in cands + [HYPERPLANE_DIVISOR]:
+        assert s3_images(x0) == [_apply_perm(x0, p) for p in _PERMUTATIONS]
+        for convention in ("conjugate_fixed", "frobenius_swaps_C"):
+            assert galois_images(x0, convention) == _galois_reference(x0, convention)
 
 
 def test_galois_images_conventions():

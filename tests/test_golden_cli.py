@@ -13,11 +13,13 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from apn20 import cli
 from apn20.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_cli.json"
@@ -31,7 +33,10 @@ def _sha256(text: str) -> str:
 def _record(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(list(argv))
+        try:
+            rc = main(list(argv))
+        except SystemExit as e:  # argparse exits on --help and on bad arguments
+            rc = e.code
     return {
         "argv": argv,
         "rc": rc,
@@ -47,6 +52,35 @@ def _record(argv) -> dict:
 )
 def test_cli_output_matches_recorded_hashes(expected):
     assert _record(expected["argv"]) == expected
+
+
+# calls between the golden ones in the second pass, with the exit code of each;
+# the ones not in the golden list must repeat their first output exactly
+_INTERLEAVED = (
+    (["apn", "--field", "4", "--poly", "x^3 + q"], 2),
+    (["--help"], 0),
+    (["divisors"], 0),
+    (["scan", "--poly", "x^5"], 2),
+    (["--seed", "7", "divisors", "--json"], 0),
+    (["divisors", "--convention", "frobenius", "--json"], 0),
+)
+
+
+def test_reused_parser_keeps_no_state():
+    """A second pass over the golden list in one process, shuffled, with help,
+    usage errors, a non-default seed and both divisors conventions between
+    its commands."""
+    assert cli._build_parser() is cli._build_parser()
+    recorded = {tuple(c["argv"]): c for c in GOLDEN["commands"]}
+    order = list(GOLDEN["commands"])
+    random.Random(17).shuffle(order)
+    first = {}
+    for i, expected in enumerate(order):
+        assert _record(expected["argv"]) == expected
+        argv, rc = _INTERLEAVED[i % len(_INTERLEAVED)]
+        got, key = _record(argv), tuple(argv)
+        assert got["rc"] == rc
+        assert got == (recorded[key] if key in recorded else first.setdefault(key, got))
 
 
 if __name__ == "__main__":
