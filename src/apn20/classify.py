@@ -19,13 +19,11 @@ on GF(2^5), GF(2^7) and GF(2^9), so it is not CCZ-equivalent to x^5.
 The divisibility side: family A means the plane product perturbed by a
 symmetric quadratic divides the surface polynomial (together with its two
 Galois conjugates), family B means the quintic surface polynomial divides
-it.  Both directions are checked here by exact division, the quotient is
-compared slice by slice against its closed form, and explicit equivalence
-witnesses to x^5 are produced and re-verified.
-
-Family A is solved, not searched: c and its conjugates are the roots of
-X^3 + (a18/a20) X + a17/a20, read off the coefficients of f, so only those
-roots in GF(q^3) are tried, one exact division per Frobenius orbit.
+it.  `classify` decides both from the coefficients of f, with no surface
+built: `search_perturbations` and `check_family_b_divisor` carry the
+derivations.  The quotient of a built family-A surface is still divided out
+and compared slice by slice against its closed form, and explicit
+equivalence witnesses to x^5 are produced and re-verified.
 """
 
 from __future__ import annotations
@@ -218,75 +216,75 @@ def check_family_a_divisor(f: UniPoly, qp: QuadraticPerturbation) -> FamilyARepo
 class FamilyBReport:
     divides: bool
     factorization_ok: bool
-    quotient: TriPoly | None
-    a10: int
-    a5: int
 
 
 def check_family_b_divisor(f: UniPoly) -> FamilyBReport:
-    """Does the quintic surface polynomial divide the surface polynomial of f?
+    """Does the quintic surface polynomial S5 divide the surface polynomial of
+    f, with the quotient a20 A^3 S5^3 + a10 A S5 + a5?  Read off the exponents.
 
-    On success the quotient is compared with its closed form
-    a20 A^3 S5^3 + a10 A S5 + a5 read off from the coefficients of f.
+    The surface of f is the sum of a_e S_e, with S_e = 0 for e = 0 and e a
+    power of two, and S10 = A S5^2, S20 = A^3 S5^4, S17 = S5^7 + A^2 S5 S9.
+    The remainder on division by S5 is unique, as one divisor is a Groebner
+    basis, and linear in f.  The remainders of the eleven other S_e have
+    GF(2) coefficients and are independent over GF(2) (all 2^11 of their
+    sums were checked), so over every field.  So S5 divides iff every
+    exponent other than 0 and the powers of two is 5, 10, 17 or 20, and the
+    quotient is then the closed form plus a17 (S5^6 + A^2 S9).
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
-    K = f.field
-    a20 = f.coeff(20)
-    a10 = f.coeff(10)
-    a5 = f.coeff(5)
-    phi = surface_poly(f)
-    s5 = surface_monomial(5, K)
-    q = exact_div(phi, s5)
-    if isinstance(q, NotDivisible):
-        return FamilyBReport(False, False, None, a10, a5)
-    A = plane_product(K)
-    expected = (
-        ((A ** 3) * (s5 ** 3)).scale(a20)
-        + (A * s5).scale(a10)
-        + TriPoly.constant(K, a5)
-    )
-    return FamilyBReport(True, q == expected, q, a10, a5)
+    divides = all(e in (5, 10, 17, 20) or e & (e - 1) == 0 for e in f.terms)
+    return FamilyBReport(divides, divides and not f.coeff(17))
+
+
+def _full_rank(L: UniPoly) -> bool:
+    """Whether the linearized L has GF(2) rank m on its field GF(2^m)."""
+    K = L.field
+    return rank(L.eval_bits(1 << i) for i in range(K.n)) == K.n
 
 
 def search_perturbations(f: UniPoly, tower: TowerField) -> list[int]:
-    """All c1 whose canonical perturbation divisor divides the surface of f.
+    """All c1 whose canonical perturbation divisor divides the surface of f,
+    sorted, each checked against the trace-zero necessary condition.
 
-    A family-A f has a18 = a20 q1(c1) and a17 = a20 N(c1) with Tr(c1) = 0,
-    so c1 and its conjugates are the roots of X^3 + (a18/a20) X + a17/a20.
-    Only the distinct roots of that cubic in the tower extension are tried.
-    The cubic has base-field coefficients, so its roots fall into Frobenius
-    orbits of size 1 or 3, and the members of one orbit share one conjugate
-    product: each orbit is decided by one exact division, and every hit is
-    checked against the trace-zero necessary condition.  The result is
-    sorted.
+    The divisor of a root c of h = X^3 + s X + t, with s = a18/a20 and
+    t = a17/a20, is the planes x+y+c, y+z+c and x+z+c times those of the
+    conjugates of c.  For c != 0, x+y+c divides the surface iff
+    D_c f(x) = f(x+c) + f(x) is constant, since the surface at y = x+c times
+    c (x+z)(x+z+c) is D_c f(x) + D_c f(z).  By Lucas' theorem the coefficient
+    of x^j in D_c f is c_j(c), the sum of a_e c^(e-j) over the exponents
+    e > j of f of which j is a binary submask.
+
+    If t != 0 and L = X h(X) has full GF(2) rank on GF(q), h has no root in
+    GF(q), so it is irreducible and the minimal polynomial of its three
+    roots, one orbit of nine distinct planes: all are hits when every c_j
+    vanishes at one root, and none otherwise.  Else h has a root r in GF(q),
+    hence all its roots lie there, and the divisor of r is the cube of its
+    planes.  (x+y+r)^3 divides only if D_r f and the first two Hasse
+    derivatives of f are constant (the first three for r = 0), that is,
+    only if every exponent outside {0, 1, 2} is divisible by 4.  That forces
+    a17 = a18 = 0, so r = 0, which is then a hit.
     """
     if f.degree != 20:
         raise ValueError(f"need a degree-20 polynomial, got degree {f.degree}")
-    base = tower.base
+    base, ext, up = tower.base, tower.ext, tower.embedding.map_bits
     f = f.embed(base)
     inv20 = base.inv(f.coeff(20))
-    cubic = [base.mul(inv20, f.coeff(17)), base.mul(inv20, f.coeff(18)), 0, 1]
-    phi = surface_poly(f)
-    hits = []
-    tried = set()
-    for c1_bits in roots([tower.embedding.map_bits(c) for c in cubic], tower.ext):
-        if c1_bits in tried:
-            continue
-        c2_bits = tower.frob_bits(c1_bits)
-        orbit = {c1_bits, c2_bits, tower.frob_bits(c2_bits)}
-        tried |= orbit
-        qp = QuadraticPerturbation.canonical(tower, c1_bits)
-        q = exact_div(phi, _conjugate_product_base(qp))
-        if isinstance(q, NotDivisible):
-            continue
-        for c in orbit:
-            if tower.trace_bits(c) != 0:
-                raise AssertionError(
-                    f"divisor hit c1 = 0x{c:x} violates the trace-zero condition"
-                )
-            hits.append(c)
-    return sorted(hits)
+    s, t = base.mul(inv20, f.coeff(18)), base.mul(inv20, f.coeff(17))
+    if t and _full_rank(UniPoly(base, {4: 1, 2: s, 1: t})):
+        hits = roots([up(t), up(s), 0, 1], ext)
+        c_j = UniPoly(ext, [
+            (j, ext.mul(up(a), ext.pow_(hits[0], e - j)))
+            for e, a in f.terms.items() for j in range(1, e) if e & j == j
+        ])
+        if c_j:
+            hits = []
+    else:
+        hits = [0] if all(e % 4 == 0 for e in f.terms if e > 2) else []
+    for c in hits:
+        if tower.trace_bits(c) != 0:
+            raise AssertionError(f"divisor hit c1 = 0x{c:x} violates the trace-zero condition")
+    return hits
 
 
 # -- quotient slice ledger ------------------------------------------------------------
@@ -427,7 +425,7 @@ def default_check_field(base: Field, L: UniPoly) -> Field | None:
     if L.field != base or any(e not in (1, 2, 4) for e in L.terms):
         raise ValueError(f"{L!r} is not a linearized polynomial of degree <= 4 over {base}")
     n = 5 * base.n
-    if (1 << n) > CHECK_FIELD_CAP or rank(L.eval_bits(1 << i) for i in range(base.n)) < base.n:
+    if (1 << n) > CHECK_FIELD_CAP or not _full_rank(L):
         return None
     return Field(n)
 
@@ -467,20 +465,19 @@ def ccz_witness(f: UniPoly, tower: TowerField):
         w = CczWitness("linear_of_power", L, residual)
         return _attach_delta_check(w, f)
 
-    # family A: f = L(x)^5 + q-affine, L from a perturbation divisor hit
+    # family A: f = L(x)^5 + q-affine; the hits of one orbit share L (Vieta),
+    # and the hit 0 gives L = x^4, whose inputs family B has matched above
     hits = search_perturbations(f, tower)
     if not hits:
         return NoWitness("family_a_search", "no perturbation divisor divides the surface")
-    for c1 in hits:
-        L = linearized_from_conjugates(tower, c1)
-        core = L ** 5
-        residual = f + core
-        if residual.is_qaffine():
-            if core + residual != f:
-                raise AssertionError("witness reconstruction failed")
-            w = CczWitness("gold_compose", L, residual, c1)
-            return _attach_delta_check(w, f)
-    return NoWitness(
-        "family_a_reconstruction",
-        "perturbation divisors found but f is not L^5 plus a q-affine part",
-    )
+    L = linearized_from_conjugates(tower, hits[0])
+    core = L ** 5
+    residual = f + core
+    if not residual.is_qaffine():
+        return NoWitness(
+            "family_a_reconstruction",
+            "perturbation divisors found but f is not L^5 plus a q-affine part",
+        )
+    if core + residual != f:
+        raise AssertionError("witness reconstruction failed")
+    return _attach_delta_check(CczWitness("gold_compose", L, residual, hits[0]), f)

@@ -254,21 +254,6 @@ def test_conjugate_product_is_constant_on_frobenius_orbits(n):
             assert _conjugate_product_base(QuadraticPerturbation.canonical(tw, c)) == first
 
 
-def test_search_divides_once_per_frobenius_orbit(monkeypatch):
-    calls = []
-
-    def counting(num, den):
-        calls.append(den)
-        return exact_div(num, den)
-
-    monkeypatch.setattr(classify, "exact_div", counting)
-    f, _ = build_family_a(fam_a(G))
-    hits = search_perturbations(f, TW)
-    # G, G^2, G^4 are the three roots of the cubic and one orbit
-    assert hits == sorted({G, TW.frob_bits(G), TW.frob_bits(TW.frob_bits(G))})
-    assert len(calls) == 1
-
-
 def test_search_on_pure_power():
     hits = search_perturbations(parse_unipoly("x^20", F2), TW)
     assert hits == [0]
@@ -291,6 +276,29 @@ def test_quotient_degenerate_parameter():
         assert not by_deg[d].actual
 
 
+def _divided_family_b(f):
+    """Oracle for check_family_b_divisor: divide the surface of f by S5 and
+    compare the quotient with a20 A^3 S5^3 + a10 A S5 + a5.  Returns
+    (divides, factorization_ok, quotient)."""
+    K = f.field
+    s5 = surface_monomial(5, K)
+    q = exact_div(surface_poly(f), s5)
+    if isinstance(q, NotDivisible):
+        return False, False, None
+    A = plane_product(K)
+    expected = (
+        ((A ** 3) * (s5 ** 3)).scale(f.coeff(20))
+        + (A * s5).scale(f.coeff(10))
+        + TriPoly.constant(K, f.coeff(5))
+    )
+    return True, q == expected, q
+
+
+def _family_b_keys(f):
+    rep = check_family_b_divisor(f)
+    return rep.divides, rep.factorization_ok
+
+
 def test_check_family_b_divisor():
     for a10 in (0, 1):
         for a5 in (0, 1):
@@ -299,8 +307,44 @@ def test_check_family_b_divisor():
             assert rep.divides and rep.factorization_ok
     rep = check_family_b_divisor(parse_unipoly("x^20+x^15", F2))
     assert not rep.divides
-    rep20 = check_family_b_divisor(parse_unipoly("x^20", F2))
-    assert rep20.quotient == plane_product(F2) ** 3 * surface_monomial(5, F2) ** 3
+    f20 = parse_unipoly("x^20", F2)
+    assert _family_b_keys(f20) == (True, True)
+    assert _divided_family_b(f20)[2] == plane_product(F2) ** 3 * surface_monomial(5, F2) ** 3
+
+
+# the exponents e < 20 whose S_e is not a multiple of S5: S_e = 0 for 0 and the
+# powers of two, and S5, S10 and S17 are multiples (x^17 is toggled separately)
+_NON_QUINTIC = (3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19)
+
+
+def test_family_b_rule_matches_division_over_gf2():
+    # every x^20 + (subset of the non-quintic exponents), with and without x^17
+    for bits in range(1 << len(_NON_QUINTIC)):
+        terms = {e: 1 for i, e in enumerate(_NON_QUINTIC) if bits >> i & 1}
+        for a17 in (0, 1):
+            f = UniPoly(F2, {20: 1, 17: a17, **terms})
+            assert _family_b_keys(f) == _divided_family_b(f)[:2], f
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_family_b_rule_matches_division_sampled(n):
+    # a20 x^20 + a17 x^17 + a10 x^10 + a5 x^5 + q-affine tail, with a17 and a
+    # stray non-quintic term each present in about half of the draws
+    K = Field(n)
+    rng = random.Random(40 + n)
+    seen = set()
+    for _ in range(48):
+        terms = {e: rng.randrange(K.order) for e in (10, 5, 16, 8, 4, 2, 1, 0)}
+        terms[20] = rng.randrange(1, K.order)
+        if rng.random() < 0.5:
+            terms[17] = rng.randrange(1, K.order)
+        if rng.random() < 0.5:
+            terms[rng.choice(_NON_QUINTIC)] = rng.randrange(1, K.order)
+        f = UniPoly(K, terms)
+        keys = _family_b_keys(f)
+        assert keys == _divided_family_b(f)[:2], f
+        seen.add(keys)
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_witness_gold_compose():
@@ -464,19 +508,34 @@ def _exhaustive_hits(f, tower):
 
 @st.composite
 def degree_20_inputs(draw, K, kind):
-    """Degree-20 f over K with any leading coefficient: random, or
-    a20 (L^5 + a12 L^3) + tail for L = x^4 + s2 x^2 + s3 x with random s2, s3,
-    whose cubic X^3 + s2 X + s3 may be reducible over K."""
+    """Degree-20 f over K with any leading coefficient a20 and a q-affine tail,
+    one shape per branch of the hit rule:
+      random     any coefficients below x^20;
+      l5         a20 (L^5 + a12 L^3) + tail for L = x^4 + s2 x^2 + s3 x with
+                 random s2, s3, whose cubic X^3 + s2 X + s3 may be reducible;
+      base_root  the same with the cubic (X+r)(X^2+rX+u), r != 0 in K;
+      scaled     the l5 shape with a20 != 1 (where K allows) and a12 != 0;
+      x12        a20 x^20 + a12 x^12 + tail, the l5 shape with L = x^4.
+    """
     elem = st.integers(0, K.order - 1)
-    a20 = draw(st.integers(1, K.order - 1))
+    nonzero = st.integers(1, K.order - 1)
+    a20 = draw(st.integers(min(2, K.order - 1), K.order - 1) if kind == "scaled" else nonzero)
     if kind == "random":
         return UniPoly(K, {e: draw(elem) for e in range(20)}) + UniPoly(K, {20: a20})
-    L = UniPoly(K, {4: 1, 2: draw(elem), 1: draw(elem)})
+    if kind == "base_root":
+        r, u = draw(nonzero), draw(elem)
+        s2, s3 = u ^ K.sqr(r), K.mul(r, u)
+    elif kind == "x12":
+        s2 = s3 = 0
+    else:
+        s2, s3 = draw(elem), draw(elem)
+    L = UniPoly(K, {4: 1, 2: s2, 1: s3})
     tail = UniPoly(K, {e: draw(elem) for e in (16, 8, 4, 2, 1, 0)})
-    return (L ** 5 + (L ** 3).scale(draw(elem))).scale(a20) + tail
+    a12 = draw(nonzero if kind == "scaled" else elem)
+    return (L ** 5 + (L ** 3).scale(a12)).scale(a20) + tail
 
 
-@pytest.mark.parametrize("kind", ["random", "l5"])
+@pytest.mark.parametrize("kind", ["random", "l5", "base_root", "scaled", "x12"])
 @pytest.mark.parametrize(
     "n, ext_modulus", [(1, None), (1, 0xd), (2, None), (3, None)], ids=["2", "2-0xd", "4", "8"]
 )
@@ -490,3 +549,32 @@ def test_cubic_roots_match_exhaustive_search(n, ext_modulus, kind):
         assert search_perturbations(f, tw) == _exhaustive_hits(f, tw)
 
     check()
+
+
+# one input per branch of the hit rule, with the hits the division-based
+# search returned on the default towers
+_HIT_TABLE = [
+    # t != 0 and L of full rank: h irreducible, its roots linear structures
+    (1, "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5", [2, 4, 6]),
+    (1, "x^20+x^18+x^17+x^6+x^4+x^3", [2, 4, 6]),
+    (8, "0x2*x^20+0x2*x^18+0x2*x^17+0x2*x^12+0x2*x^10+0x2*x^9+0x2*x^8+0x2*x^6+0x2*x^5",
+     [58028, 279372, 303584]),
+    # h irreducible, but D_c f not constant
+    (1, "x^20+x^18+x^17", []),
+    # h = X^3, every exponent outside {0, 1, 2} divisible by 4
+    (1, "x^20+x^12", [0]),
+    (2, "0x2*x^20+0x2*x^12", [0]),
+    (4, "x^20+x^16+x^12+x^8+x^4+x^2+x+1", [0]),
+    # t = 0 otherwise
+    (3, "x^20+x^12+x^3", []),
+    (1, "x^20+x^18", []),
+    # a nonzero root of h in the base field
+    (1, "x^20+x^17", []),
+    (2, "x^20+0x3*x^18+0x2*x^17+0x3*x^8+x^5+x^4+0x3*x^3", []),
+]
+
+
+@pytest.mark.parametrize("n, text, hits", _HIT_TABLE)
+def test_hit_rule_branches(n, text, hits):
+    K = Field(n)
+    assert search_perturbations(parse_unipoly(text, K), TowerField(K)) == hits

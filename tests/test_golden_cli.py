@@ -1,9 +1,9 @@
 """Byte-identity of CLI output against recorded hashes.
 
 tests/data/golden_cli.json lists apn20 command lines (the README examples,
-seeded `classify` inputs over GF(2)..GF(2^8) in text and JSON, and a few
-`apn --json` and `scan --json` calls) with the exit code and the sha256 of
-stdout and stderr of each.  A change that alters any of them must re-record
+seeded `classify` inputs over GF(2)..GF(2^8) in text and JSON, a family-A
+member over GF(4), and a few `apn --json` and `scan --json` calls) with the
+exit code and the sha256 of stdout and stderr of each.  A change that alters any of them must re-record
 the file on purpose:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from apn20 import cli
+from apn20 import classify, cli, polys, surface
 from apn20.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_cli.json"
@@ -81,6 +81,48 @@ def test_reused_parser_keeps_no_state():
         got, key = _record(argv), tuple(argv)
         assert got["rc"] == rc
         assert got == (recorded[key] if key in recorded else first.setdefault(key, got))
+
+
+# (field, poly) of golden classify commands: family A over GF(2), GF(4), GF(16)
+# and GF(2^8), family B, non-members, and both family_a_reconstruction shapes
+# (the hit 0 of x^20+x^12, and a scaled member's three hits)
+_NO_SURFACE_INPUTS = {
+    ("1", "x^20+x^18+x^17+x^12+x^10+x^9+x^6+x^5+x^2"),
+    ("2", "x^20+0x2*x^18+x^17+0x2*x^12+0x3*x^10+0x2*x^9+0x3*x^8+0x2*x^6+x^5+0x3*x+0x1"),
+    ("4", "x^20+0x3*x^17+0x2*x^8+0x6*x^5+x^4+0x7*x^2+0x3*x"),
+    ("8", "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5"),
+    ("1", "x^20+x^10+x^5"),
+    ("2", "0x2*x^20+0x2*x^5"),
+    ("3", "x^20+0x4*x^16+0x2*x^13+0x6*x^10+x^5+0x4*x^4+0x1"),
+    ("6", "x^20+0x33*x^14+0x14*x^10+0x2*x^5+0x2*x"),
+    ("1", "x^20+x^12"),
+    ("8", "0x2*x^20+0x2*x^18+0x2*x^17+0x2*x^12+0x2*x^10+0x2*x^9+0x2*x^8+0x2*x^6+0x2*x^5"),
+}
+
+
+def test_classify_divides_nothing(monkeypatch):
+    """classify reads both divisor questions off the coefficients of f: it
+    builds no surface, divides nothing and multiplies no trivariate
+    polynomials, and its output is the recorded one."""
+
+    def forbidden(*args):
+        raise AssertionError("classify reached the surface")
+
+    for owner, name in (
+        (classify, "exact_div"),
+        (classify, "surface_poly"),
+        (polys, "exact_div"),
+        (surface, "surface_poly"),
+        (polys.TriPoly, "__mul__"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    checked = 0
+    for expected in GOLDEN["commands"]:
+        argv = expected["argv"]
+        if argv[0] == "classify" and (argv[2], argv[4]) in _NO_SURFACE_INPUTS:
+            assert _record(argv) == expected
+            checked += 1
+    assert checked == 16  # the text form of each, and the JSON form of six
 
 
 if __name__ == "__main__":
