@@ -1,18 +1,7 @@
 """Desk-scale analysis of degree-20 APN polynomials over binary fields."""
 
 from .apn import apn_scan, diff_count, differential_uniformity, invariance_check
-from .classify import (
-    FamilyAParams,
-    FamilyBParams,
-    QuadraticPerturbation,
-    build_family_a,
-    build_family_b,
-    ccz_witness,
-    check_family_a_divisor,
-    check_family_b_divisor,
-    search_perturbations,
-    verify_family_a_quotient,
-)
+from .classify import ccz_witness, check_family_b_divisor, search_perturbations
 from .divisors import Divisor, case_analysis, galois_images, s3_images
 from .fields import Field, TowerField, find_embedding
 from .polys import (
@@ -58,14 +47,7 @@ __all__ = [
     "s3_images",
     "galois_images",
     "case_analysis",
-    "FamilyAParams",
-    "FamilyBParams",
-    "QuadraticPerturbation",
-    "build_family_a",
-    "build_family_b",
-    "check_family_a_divisor",
     "check_family_b_divisor",
     "search_perturbations",
-    "verify_family_a_quotient",
     "ccz_witness",
 ]

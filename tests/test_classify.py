@@ -7,23 +7,13 @@ from hypothesis import given, settings, strategies as st
 from apn20 import classify
 from apn20.apn import differential_uniformity
 from apn20.classify import (
+    FAMILY_A_CONSTRAINTS,
     CczWitness,
-    FamilyAParams,
-    FamilyBParams,
     NoWitness,
-    QuadraticPerturbation,
-    _conjugate_product_base,
-    build_family_a,
-    build_family_b,
     ccz_witness,
-    check_family_a_divisor,
     check_family_b_divisor,
-    conjugate_product,
     default_check_field,
-    linearized_from_conjugates,
-    perturbed_plane,
     search_perturbations,
-    verify_family_a_quotient,
 )
 from apn20.fields import Field, TowerField
 from apn20.linear import rank
@@ -36,6 +26,21 @@ from apn20.polys import (
     parse_unipoly,
 )
 from apn20.surface import plane_product, surface_monomial, surface_poly
+from family_oracles import (
+    FamilyAParams,
+    FamilyBParams,
+    QuadraticPerturbation,
+    _conjugate_product_base,
+    build_family_a,
+    build_family_b,
+    check_family_a_divisor,
+    checked_hits,
+    conjugate_product,
+    constraints_for,
+    linearized_from_conjugates,
+    perturbed_plane,
+    verify_family_a_quotient,
+)
 
 F2 = Field(1)
 TW = TowerField(F2)
@@ -232,9 +237,65 @@ def test_check_family_a_divisor_negative():
     assert rep.remainder_monomial is not None
 
 
+def test_family_a_constraints_are_identities():
+    # the roots of h = X^3 + s X + t as polynomials over GF(2): c = r0, its
+    # conjugates r1 and r2 = r0 + r1 (h has no X^2 term), with d = c^3,
+    # c4 = c1 and b1 = 0 as in the canonical perturbation; every form is
+    # symmetric in the orbit, so the order of the roots does not matter
+    x, y = TriPoly.variable(F2, "x"), TriPoly.variable(F2, "y")
+    zero = TriPoly.zero(F2)
+    c = (x, y, x + y)
+    d = tuple(r ** 3 for r in c)
+    c4, b1 = c, (zero, zero, zero)
+
+    def tr(a):
+        return a[0] + a[1] + a[2]
+
+    def norm(a):
+        return a[0] * a[1] * a[2]
+
+    def q1(a):
+        return a[0] * a[1] + a[0] * a[2] + a[1] * a[2]
+
+    def q4(a, b):
+        return a[0] * a[1] * b[2] + a[0] * b[1] * a[2] + b[0] * a[1] * a[2]
+
+    def q5(a, b):
+        return a[0] * (b[1] + b[2]) + b[0] * (a[1] + a[2]) + a[1] * b[2] + b[1] * a[2]
+
+    sides = {
+        "tr_c1_zero": (tr(c), zero),
+        "tr_c4_zero": (tr(c4), zero),
+        "c1_eq_c4": (c[0], c4[0]),
+        "b1_zero": (b1[0], zero),
+        "d_eq_c1_cubed": (d[0], c[0] ** 3),
+        "tr_d_eq_norm_c1": (tr(d), norm(c)),
+        "q5_c1_d_zero": (q5(c, d), zero),
+        "q4_c1_d_zero": (q4(c, d), zero),
+        "q1_d_relation": (q1(d), q1(c) ** 3 + norm(c) ** 2),
+        "q4_d_c1_relation": (q4(d, c), norm(c) * q1(c) ** 2),
+        "norm_d_relation": (norm(d), norm(c) ** 3),
+    }
+    for name, (lhs, rhs) in sides.items():
+        assert lhs == rhs, name
+    # the printed order is the order of the tower-side evaluation
+    assert tuple(sides) == FAMILY_A_CONSTRAINTS
+    assert tuple(constraints_for(QuadraticPerturbation.canonical(TW, G))) == FAMILY_A_CONSTRAINTS
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_family_a_constraints_hold_in_the_tower(m):
+    # evaluated in GF(q^3) on every trace-zero c1 for m <= 3, 64 of them for m = 4
+    tw = TowerField(Field(m))
+    trace_zero = [b for b in range(tw.ext.order) if tw.trace_bits(b) == 0]
+    for c1 in random.Random(m).sample(trace_zero, min(len(trace_zero), 64)):
+        constraints = constraints_for(QuadraticPerturbation.canonical(tw, c1))
+        assert all(constraints.values()), (m, c1, constraints)
+
+
 def test_search_recovers_galois_orbit():
     f, _ = build_family_a(fam_a(G))
-    hits = set(search_perturbations(f, TW))
+    hits = set(checked_hits(f, TW))
     orbit = {G, TW.frob_bits(G), TW.frob_bits(TW.frob_bits(G))}
     assert orbit <= hits
     assert all(TW.trace_bits(b) == 0 for b in hits)
@@ -255,8 +316,9 @@ def test_conjugate_product_is_constant_on_frobenius_orbits(n):
 
 
 def test_search_on_pure_power():
-    hits = search_perturbations(parse_unipoly("x^20", F2), TW)
-    assert hits == [0]
+    f = parse_unipoly("x^20", F2)
+    assert checked_hits(f, TW) == [0]
+    assert search_perturbations(f) == parse_unipoly("x^4", F2)
 
 
 def test_quotient_slices_all_parameters():
@@ -349,7 +411,7 @@ def test_family_b_rule_matches_division_sampled(n):
 
 def test_witness_gold_compose():
     f, L = build_family_a(fam_a(G))
-    w = ccz_witness(f, TW)
+    w = ccz_witness(f)
     assert isinstance(w, CczWitness)
     assert w.kind == "gold_compose"
     assert w.L == L
@@ -360,7 +422,7 @@ def test_witness_gold_compose():
 
 def test_witness_linear_of_power():
     f = parse_unipoly("x^20+x^10+x^5", F2)
-    w = ccz_witness(f, TW)
+    w = ccz_witness(f)
     assert w.kind == "linear_of_power"
     assert w.L == parse_unipoly("x^4+x^2+x", F2)
     assert w.delta_match
@@ -369,28 +431,28 @@ def test_witness_linear_of_power():
 def test_witness_reconstruction_with_tail():
     tail = parse_unipoly("x^16+x^8+x^2+1", F2)
     f, L = build_family_a(fam_a(G, tail=tail))
-    w = ccz_witness(f, TW)
+    w = ccz_witness(f)
     assert w.kind == "gold_compose"
     assert w.residual == tail
     assert L ** 5 + w.residual == f
 
 
 def test_witness_absent_for_odd_tail():
-    w = ccz_witness(parse_unipoly("x^20+x^19", F2), TW)
+    w = ccz_witness(parse_unipoly("x^20+x^19", F2))
     assert isinstance(w, NoWitness)
     assert w.stage == "family_a_search"
 
 
 def test_witness_absent_for_nonzero_multiplier():
     f, _ = build_family_a(fam_a(G, a12=1))
-    w = ccz_witness(f, TW)
+    w = ccz_witness(f)
     assert isinstance(w, NoWitness)
     assert w.stage == "family_a_reconstruction"
 
 
 def test_witness_degenerate_linear_part_skips_delta_check():
     f = build_family_b(FamilyBParams(F2, 1, 0, UniPoly.zero(F2)))
-    w = ccz_witness(f, TW)
+    w = ccz_witness(f)
     assert w.kind == "linear_of_power"
     assert w.check_field is None
 
@@ -457,7 +519,7 @@ def test_default_check_field_rejects_other_polynomials():
 
 def test_witness_requires_degree_20():
     with pytest.raises(ValueError, match="degree"):
-        ccz_witness(parse_unipoly("x^12", F2), TW)
+        ccz_witness(parse_unipoly("x^12", F2))
 
 
 def test_full_pipeline_on_quartic_base_tower():
@@ -475,11 +537,11 @@ def test_full_pipeline_on_quartic_base_tower():
     rep = verify_family_a_quotient(p)
     assert rep.all_ok and rep.sextic_coeff_ok
 
-    hits = set(search_perturbations(f, tw))
+    hits = set(checked_hits(f, tw))
     orbit = {c1, tw.frob_bits(c1), tw.frob_bits(tw.frob_bits(c1))}
     assert orbit <= hits
 
-    w = ccz_witness(f, tw)
+    w = ccz_witness(f)
     assert w.kind == "gold_compose" and w.L == L
     assert w.check_field == Field(10)
     assert w.delta_match
@@ -488,7 +550,7 @@ def test_full_pipeline_on_quartic_base_tower():
     fb = build_family_b(pb)
     rb = check_family_b_divisor(fb)
     assert rb.divides and rb.factorization_ok
-    wb = ccz_witness(fb, tw)
+    wb = ccz_witness(fb)
     assert wb.kind == "linear_of_power"
     assert wb.residual == UniPoly(F4, {16: 1})
 
@@ -546,7 +608,7 @@ def test_cubic_roots_match_exhaustive_search(n, ext_modulus, kind):
     @settings(max_examples=12 if n < 3 else 4, derandomize=True, deadline=None)
     @given(f=degree_20_inputs(K, kind))
     def check(f):
-        assert search_perturbations(f, tw) == _exhaustive_hits(f, tw)
+        assert checked_hits(f, tw) == _exhaustive_hits(f, tw)
 
     check()
 
@@ -577,4 +639,4 @@ _HIT_TABLE = [
 @pytest.mark.parametrize("n, text, hits", _HIT_TABLE)
 def test_hit_rule_branches(n, text, hits):
     K = Field(n)
-    assert search_perturbations(parse_unipoly(text, K), TowerField(K)) == hits
+    assert checked_hits(parse_unipoly(text, K), TowerField(K)) == hits

@@ -4,6 +4,7 @@ import pytest
 
 from apn20 import apn, classify, divisors
 from apn20.cli import main
+from apn20.fields import smallest_irreducible
 
 
 def run(capsys, *argv):
@@ -163,7 +164,7 @@ def test_classify_searches_family_a_once(capsys, monkeypatch):
 
 
 def test_classify_family_a_over_gf32(capsys):
-    # the tower extension GF(2^15) has 32768 elements; only the cubic's roots are tried
+    # the tower GF(2^15) labels the report; nothing is computed in it
     code, out, _ = run(
         capsys,
         "classify", "--field", "5",
@@ -177,21 +178,22 @@ def test_classify_family_a_over_gf32(capsys):
     assert all(payload["constraints"].values())
 
 
-def test_classify_family_a_reads_constraints_without_redividing(capsys, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("check_family_a_divisor repeats the search's division")
+def test_classify_reaches_every_base_to_gf2_24(capsys):
+    # no field of degree 3m is built, so every base field is in reach; the
+    # README member's cubic X^3+X+1 has its roots in GF(8), which lies in
+    # GF(2^m) exactly when 3 | m
+    member = "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5"
+    for m in range(9, 25):
+        code, out, _ = run(capsys, "classify", "--field", str(m), "--poly", member, "--json")
+        assert code == 0, m
+        payload = json.loads(out)
+        assert payload["family"] == ("none" if m % 3 == 0 else "A"), m
+        assert payload["tower"] == f"{3 * m}:0x{smallest_irreducible(3 * m):x}"
+        code, out, _ = run(
+            capsys, "classify", "--field", str(m), "--poly", "x^20+x^10+x^5", "--json"
+        )
+        assert code == 0 and json.loads(out)["family"] == "B", m
 
-    monkeypatch.setattr(classify, "check_family_a_divisor", forbidden)
-    code, out, _ = run(
-        capsys,
-        "classify", "--field", "1",
-        "--poly", "x^20+x^18+x^17+x^12+x^10+x^9+x^8+x^6+x^5",
-        "--json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["family"] == "A"
-    assert len(payload["constraints"]) == 11 and all(payload["constraints"].values())
 
 def test_classify_no_witness(capsys):
     code, out, _ = run(capsys, "classify", "--field", "1", "--poly", "x^20+x^19")

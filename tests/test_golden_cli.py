@@ -2,7 +2,8 @@
 
 tests/data/golden_cli.json lists apn20 command lines (the README examples,
 seeded `classify` inputs over GF(2)..GF(2^8) in text and JSON, a family-A
-member over GF(4), and a few `apn --json` and `scan --json` calls) with the
+member over GF(4), `classify` over GF(2^9) and GF(2^23), and a few
+`apn --json` and `scan --json` calls) with the
 exit code and the sha256 of stdout and stderr of each.  A change that alters any of them must re-record
 the file on purpose:
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from apn20 import classify, cli, polys, surface
+from apn20 import cli, fields, polys, surface
 from apn20.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_cli.json"
@@ -108,14 +109,14 @@ def test_classify_divides_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("classify reached the surface")
 
-    for owner, name in (
-        (classify, "exact_div"),
-        (classify, "surface_poly"),
-        (polys, "exact_div"),
-        (surface, "surface_poly"),
-        (polys.TriPoly, "__mul__"),
-    ):
-        monkeypatch.setattr(owner, name, forbidden)
+    # every apn20 module that holds either function under some name
+    for fn in (polys.exact_div, surface.surface_poly):
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "apn20" or mod_name.startswith("apn20."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, forbidden)
+    monkeypatch.setattr(polys.TriPoly, "__mul__", forbidden)
     checked = 0
     for expected in GOLDEN["commands"]:
         argv = expected["argv"]
@@ -123,6 +124,37 @@ def test_classify_divides_nothing(monkeypatch):
             assert _record(argv) == expected
             checked += 1
     assert checked == 16  # the text form of each, and the JSON form of six
+
+
+def test_classify_builds_no_tower(monkeypatch):
+    """classify works over the base field GF(2^m) alone: it builds no
+    TowerField, and no Field of degree 3m unless --tower-modulus names one,
+    and its output is the recorded one."""
+
+    def forbidden(*args):
+        raise AssertionError("classify built a tower")
+
+    built = []
+    field_init = fields.Field.__init__
+
+    def recorded(self, n, modulus=None):
+        built.append(n)
+        field_init(self, n, modulus)
+
+    monkeypatch.setattr(fields.TowerField, "__init__", forbidden)
+    monkeypatch.setattr(fields.Field, "__init__", recorded)
+    checked = 0
+    for expected in GOLDEN["commands"]:
+        argv = expected["argv"]
+        if argv[0] != "classify":
+            continue
+        built.clear()
+        assert _record(argv) == expected
+        if "--tower-modulus" not in argv:
+            m = int(argv[argv.index("--field") + 1])
+            assert 3 * m not in built, (argv, built)
+        checked += 1
+    assert checked == 57  # one of them with --tower-modulus
 
 
 if __name__ == "__main__":
